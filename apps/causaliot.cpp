@@ -7,11 +7,13 @@
 //   causaliot serve    --model model.dig --trace live.csv [--tenants 4]
 //                      [--shards 2] [--speedup 0] [--policy block]
 //                      [--stdin 1] [--ingest-port 0] [--ingest-http 0]
-//                      [--alert-rules rules.jsonl] [--history-interval 1000]
 //   causaliot inspect  --model model.dig --profile contextact [--dot graph.dot]
 //
 // The profile argument supplies the device catalog (column order of the
 // CSV); custom deployments would register their own catalog the same way.
+// Every flag is checked against its subcommand's table before the command
+// runs: an unknown flag or a malformed value exits 2 naming the flag.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -19,13 +21,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "causaliot/core/evaluation.hpp"
 #include "causaliot/core/experiment.hpp"
@@ -35,10 +37,8 @@
 #include "causaliot/graph/analysis.hpp"
 #include "causaliot/inject/injector.hpp"
 #include "causaliot/net/line_server.hpp"
-#include "causaliot/obs/alert.hpp"
 #include "causaliot/obs/http_server.hpp"
 #include "causaliot/obs/registry.hpp"
-#include "causaliot/obs/time_series.hpp"
 #include "causaliot/obs/trace.hpp"
 #include "causaliot/serve/alarm_json.hpp"
 #include "causaliot/serve/ingest.hpp"
@@ -56,6 +56,78 @@ namespace {
 
 using namespace causaliot;
 
+void usage();
+
+// What a flag's value must parse as. No numeric flag takes a negative
+// (or NaN) value; kCount is an integer.
+enum class FlagType { kText, kCount, kReal };
+
+struct FlagSpec {
+  const char* name;
+  FlagType type;
+};
+
+// The flags each subcommand accepts (--simd is accepted by all). Trace
+// loading reads --trace, --profile and --format, so every command that
+// loads a trace lists all three.
+const std::map<std::string, std::vector<FlagSpec>>& command_flags() {
+  using enum FlagType;
+  static const std::map<std::string, std::vector<FlagSpec>> table = {
+      {"simulate",
+       {{"out", kText}, {"profile", kText}, {"days", kReal},
+        {"seed", kCount}, {"format", kText}}},
+      {"train",
+       {{"trace", kText}, {"out", kText}, {"profile", kText},
+        {"format", kText}, {"tau", kCount}, {"alpha", kReal},
+        {"q", kReal}, {"laplace", kReal}, {"guard", kReal},
+        {"threads", kCount}, {"ci-batch", kCount},
+        {"trace-out", kText}, {"prom-out", kText}, {"verbose", kCount},
+        {"listen", kCount}}},
+      {"monitor",
+       {{"model", kText}, {"trace", kText}, {"profile", kText},
+        {"format", kText}, {"kmax", kCount}, {"threshold", kReal},
+        {"laplace", kReal}, {"root-cause-depth", kCount}}},
+      {"serve",
+       {{"model", kText}, {"trace", kText}, {"profile", kText},
+        {"format", kText}, {"stdin", kCount}, {"ingest-port", kCount},
+        {"ingest-http", kCount}, {"tenants", kCount}, {"shards", kCount},
+        {"queue", kCount}, {"policy", kText}, {"speedup", kReal},
+        {"kmax", kCount}, {"threshold", kReal}, {"laplace", kReal},
+        {"dedup", kCount}, {"metrics-interval", kCount},
+        {"metrics-out", kText}, {"prom-out", kText},
+        {"trace-out", kText}, {"trace-sample", kCount},
+        {"listen", kCount}, {"debug-event-delay-us", kCount},
+        {"root-cause-depth", kCount}, {"root-cause-history", kCount},
+        {"share-templates", kCount}}},
+      {"eval",
+       {{"profile", kText}, {"days", kReal}, {"test-days", kReal},
+        {"chains", kCount}, {"kmax", kCount}, {"seed", kCount}}},
+      {"inspect", {{"model", kText}, {"profile", kText}, {"dot", kText}}},
+  };
+  return table;
+}
+
+// Why `value` is not a valid `type`, or empty when it is.
+std::string flag_value_error(FlagType type, const std::string& value) {
+  switch (type) {
+    case FlagType::kText:
+      return {};
+    case FlagType::kCount: {
+      const auto parsed = util::parse_int(value);
+      if (!parsed.ok()) return parsed.error().to_string();
+      return *parsed < 0 ? "expected a non-negative integer" : "";
+    }
+    case FlagType::kReal: {
+      const auto parsed = util::parse_double(value);
+      if (!parsed.ok()) return parsed.error().to_string();
+      return *parsed >= 0.0 ? "" : "expected a non-negative number";
+    }
+  }
+  return {};
+}
+
+// Options as parsed and checked by parse_args(): every key is in the
+// command's flag table and every value parses as the table's type.
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -66,14 +138,13 @@ struct Args {
   }
   double get_double(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::strtod(it->second.c_str(),
-                                                        nullptr);
+    return it == options.end() ? fallback : *util::parse_double(it->second);
   }
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     const auto it = options.find(key);
     return it == options.end()
                ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+               : static_cast<std::uint64_t>(*util::parse_int(it->second));
   }
   bool require(const std::string& key) const {
     if (options.contains(key)) return true;
@@ -83,15 +154,41 @@ struct Args {
 };
 
 std::optional<Args> parse_args(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
+  const auto command =
+      argc < 2 ? command_flags().end() : command_flags().find(argv[1]);
+  if (command == command_flags().end()) {
+    usage();
+    return std::nullopt;
+  }
   Args args;
   args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       std::fprintf(stderr, "expected --option, got '%s'\n", argv[i]);
       return std::nullopt;
     }
-    args.options[argv[i] + 2] = argv[i + 1];
+    const std::string name = argv[i] + 2;
+    const std::vector<FlagSpec>& flags = command->second;
+    const auto spec =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const FlagSpec& flag) { return name == flag.name; });
+    if (spec == flags.end() && name != "simd") {
+      std::fprintf(stderr, "unknown flag --%s for %s\n", name.c_str(),
+                   argv[1]);
+      return std::nullopt;
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
+      return std::nullopt;
+    }
+    const std::string error = flag_value_error(
+        spec == flags.end() ? FlagType::kText : spec->type, argv[i + 1]);
+    if (!error.empty()) {
+      std::fprintf(stderr, "bad value for --%s: %s\n", name.c_str(),
+                   error.c_str());
+      return std::nullopt;
+    }
+    args.options[name] = argv[i + 1];
   }
   return args;
 }
@@ -426,7 +523,7 @@ int cmd_serve(const Args& args) {
   config.root_cause_history =
       static_cast<std::size_t>(args.get_u64("root-cause-history", 8));
   // Ops-drill knob: slow every event down so a tiny queue saturates
-  // deterministically and the watchdog/alert plane can be exercised.
+  // deterministically and the watchdog gauges can be exercised.
   config.debug_event_delay_us =
       static_cast<std::uint32_t>(args.get_u64("debug-event-delay-us", 0));
 
@@ -467,6 +564,10 @@ int cmd_serve(const Args& args) {
         std::lock_guard<std::mutex> lock(out_mutex);
         std::printf("%s\n", line.c_str());
       });
+  // Shard liveness gauges, refreshed on every scrape and every
+  // --metrics-interval snapshot. Declared before the HTTP listeners so
+  // the servers (whose handlers read it) are destroyed first.
+  serve::Watchdog watchdog(service);
 
   // --metrics-interval N streams one registry snapshot line every N
   // seconds; --metrics-out routes those lines to a dedicated file so the
@@ -484,6 +585,7 @@ int cmd_serve(const Args& args) {
   std::atomic<bool> metrics_stop{false};
   std::thread metrics_thread;
   const auto emit_metrics = [&] {
+    watchdog.refresh(obs::Tracer::now_ns());
     const std::string snapshot = service.registry_json();
     // Both clocks, so offline trend analysis can align snapshots with
     // alarm timestamps (wall) and with span traces (monotonic).
@@ -528,56 +630,7 @@ int cmd_serve(const Args& args) {
         std::vector<std::uint8_t>(catalog.size(), 0)));
   }
 
-  // The retention + alerting plane: a background sampler snapshots the
-  // registry every --history-interval MS into ring buffers (served as
-  // /metrics/history), the watchdog turns shard progress into
-  // serve_watchdog_* gauges, and the alert engine evaluates its rules
-  // on every tick (served as /alertz). --history-interval 0 keeps the
-  // endpoints but never samples. Declared before the HTTP listeners so
-  // the servers (whose handlers read these) are destroyed first.
-  const std::uint64_t history_interval_ms =
-      args.get_u64("history-interval", 1000);
-  const auto history_capacity =
-      static_cast<std::size_t>(args.get_u64("history-capacity", 512));
-  if (history_capacity < 2) {
-    std::fprintf(stderr, "--history-capacity must be >= 2\n");
-    return 2;
-  }
-  serve::Watchdog watchdog(service);
-  obs::TimeSeriesConfig history_config;
-  history_config.interval_ms = history_interval_ms;
-  history_config.raw_capacity = history_capacity;
-  history_config.agg_capacity = history_capacity;
-  obs::TimeSeriesStore history(service.registry(), history_config);
-  std::vector<obs::AlertRule> alert_rules = watchdog.default_rules();
-  const std::string rules_path = args.get("alert-rules", "");
-  if (!rules_path.empty()) {
-    std::ifstream rules_file(rules_path, std::ios::binary);
-    if (!rules_file.good()) {
-      std::fprintf(stderr, "cannot read %s\n", rules_path.c_str());
-      return 1;
-    }
-    std::string rules_text{std::istreambuf_iterator<char>(rules_file),
-                           std::istreambuf_iterator<char>()};
-    auto parsed = obs::parse_alert_rules(rules_text);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
-      return 2;
-    }
-    alert_rules = std::move(parsed).value();
-  }
-  obs::AlertEngine alerts(history, service.registry(),
-                          std::move(alert_rules));
-  history.set_pre_sample([&service, &watchdog](std::uint64_t now_ns) {
-    service.refresh_gauges();
-    watchdog.refresh(now_ns);
-  });
-  history.set_post_sample(
-      [&alerts](std::uint64_t now_ns) { alerts.evaluate(now_ns); });
-
   serve::IntrospectionOptions introspection;
-  introspection.history = &history;
-  introspection.alerts = &alerts;
   introspection.watchdog = &watchdog;
 
   // --listen: the live scrape plane. Started after tenant registration
@@ -590,7 +643,6 @@ int cmd_serve(const Args& args) {
   }
 
   service.start();
-  if (history_interval_ms > 0) history.start();
 
   // The ingestion plane: stdin, raw-TCP JSONL (--ingest-port), and HTTP
   // POST /ingest (--ingest-http) all reduce to one shared IngestRouter,
@@ -695,10 +747,7 @@ int cmd_serve(const Args& args) {
   }
 
   // Stop the ingestion listeners before draining the service: every
-  // line already received is routed, then the queues flush. The history
-  // sampler stops first — its hooks read shard progress and queue
-  // gauges, which mean nothing mid-drain.
-  history.stop();
+  // line already received is routed, then the queues flush.
   if (line_server != nullptr) line_server->stop();
   if (ingest_http_server != nullptr) ingest_http_server->stop();
   service.shutdown();
@@ -710,6 +759,7 @@ int cmd_serve(const Args& args) {
   std::printf("%s\n", service.stats_json().c_str());
 
   const std::string prom_out = args.get("prom-out", "");
+  if (!prom_out.empty()) watchdog.refresh(obs::Tracer::now_ns());
   if (!prom_out.empty() &&
       !write_text_file(prom_out, service.registry().to_prometheus())) {
     return 1;
@@ -863,13 +913,7 @@ void usage() {
       " [--metrics-out snapshots.jsonl] [--prom-out metrics.prom]"
       " [--trace-out trace.json] [--trace-sample N (span every Nth event)]"
       " [--listen PORT (0 = ephemeral; serves /metrics /healthz /readyz"
-      " /statusz /tracez /alertz /rootcausez /metrics/history on"
-      " loopback)]\n"
-      "           [--alert-rules FILE (JSONL alert rules; default: the"
-      " built-in watchdog ruleset)]\n"
-      "           [--history-interval MS (metric retention sampler tick;"
-      " default 1000, 0 = off)] [--history-capacity N (ring points per"
-      " series; default 512)]\n"
+      " /statusz /tracez /rootcausez on loopback)]\n"
       "           [--debug-event-delay-us N (slow workers for ops drills;"
       " default 0)]\n"
       "           [--root-cause-depth D (alarm attribution walk depth;"
@@ -892,17 +936,12 @@ void usage() {
 int main(int argc, char** argv) {
   util::set_log_level(util::LogLevel::kWarn);
   const auto args = parse_args(argc, argv);
-  if (!args) {
-    usage();
-    return 2;
-  }
+  if (!args) return 2;
   if (!apply_simd_flag(*args)) return 2;
   if (args->command == "simulate") return cmd_simulate(*args);
   if (args->command == "train") return cmd_train(*args);
   if (args->command == "monitor") return cmd_monitor(*args);
   if (args->command == "serve") return cmd_serve(*args);
   if (args->command == "inspect") return cmd_inspect(*args);
-  if (args->command == "eval") return cmd_eval(*args);
-  usage();
-  return 2;
+  return cmd_eval(*args);  // parse_args admits no other command
 }

@@ -227,6 +227,12 @@ util::Status InteractionGraph::save(const std::string& path) const {
 
 util::Result<InteractionGraph> InteractionGraph::load(
     const std::string& path) {
+  // Far beyond any mined tau; bounds the monitor's (max_lag + 1)-deep
+  // state ring that a loaded model sizes.
+  constexpr std::size_t kMaxLag = 65535;
+  // A CPT key packs one bit per cause into a util::BitKey.
+  constexpr std::size_t kMaxCauses = 64;
+
   std::ifstream in(path);
   if (!in) return util::Error::io_error("cannot open " + path);
   std::string tag;
@@ -237,13 +243,26 @@ util::Result<InteractionGraph> InteractionGraph::load(
       version != "v1") {
     return util::Error::parse_error("bad DIG header in " + path);
   }
-  InteractionGraph graph(device_count, max_lag);
-  for (std::size_t i = 0; i < device_count; ++i) {
-    std::size_t child = 0;
+  if (max_lag < 1 || max_lag > kMaxLag) {
+    return util::Error::parse_error(
+        util::format("DIG max_lag %zu outside [1, %zu]", max_lag, kMaxLag));
+  }
+  // Every record is validated before it reaches a Cpt, and the tables
+  // grow with the records actually read — never with the header's
+  // device_count — so no input can trip a CHECK or exhaust memory.
+  std::vector<Cpt> cpts;
+  for (std::size_t child = 0; child < device_count; ++child) {
+    std::size_t record = 0;
     std::size_t cause_count = 0;
-    if (!(in >> tag >> child >> cause_count) || tag != "child" ||
-        child >= device_count) {
-      return util::Error::parse_error("bad child record");
+    if (!(in >> tag >> record >> cause_count) || tag != "child" ||
+        record != child) {
+      return util::Error::parse_error(
+          util::format("bad child record (expected child %zu)", child));
+    }
+    if (cause_count > kMaxCauses) {
+      return util::Error::parse_error(util::format(
+          "child %zu: %zu causes exceed the %zu-cause CPT key", child,
+          cause_count, kMaxCauses));
     }
     std::vector<LaggedNode> causes;
     for (std::size_t c = 0; c < cause_count; ++c) {
@@ -251,10 +270,20 @@ util::Result<InteractionGraph> InteractionGraph::load(
       if (!(in >> tag >> node.device >> node.lag) || tag != "cause") {
         return util::Error::parse_error("bad cause record");
       }
+      if (node.device >= device_count || node.lag < 1 || node.lag > max_lag) {
+        return util::Error::parse_error(util::format(
+            "child %zu: cause %u at lag %u out of range", child,
+            static_cast<unsigned>(node.device),
+            static_cast<unsigned>(node.lag)));
+      }
       causes.push_back(node);
     }
-    graph.set_causes(static_cast<telemetry::DeviceId>(child),
-                     std::move(causes));
+    std::sort(causes.begin(), causes.end());
+    if (std::adjacent_find(causes.begin(), causes.end()) != causes.end()) {
+      return util::Error::parse_error(
+          util::format("child %zu: duplicate cause", child));
+    }
+    Cpt cpt(std::move(causes));
     std::size_t entry_count = 0;
     if (!(in >> tag >> entry_count) || tag != "entries") {
       return util::Error::parse_error("bad entries record");
@@ -266,10 +295,25 @@ util::Result<InteractionGraph> InteractionGraph::load(
       if (!(in >> key >> count0 >> count1)) {
         return util::Error::parse_error("bad CPT entry");
       }
-      graph.cpt(static_cast<telemetry::DeviceId>(child))
-          .set_counts(key, count0, count1);
+      if (!(count0 >= 0.0 && count1 >= 0.0)) {
+        return util::Error::parse_error(
+            util::format("child %zu: negative CPT count", child));
+      }
+      if (cause_count < kMaxCauses && (key >> cause_count) != 0) {
+        return util::Error::parse_error(util::format(
+            "child %zu: CPT key %llu has bits beyond %zu causes", child,
+            static_cast<unsigned long long>(key), cause_count));
+      }
+      if (cpt.counts().contains(key)) {
+        return util::Error::parse_error(
+            util::format("child %zu: duplicate CPT entry", child));
+      }
+      cpt.set_counts(key, count0, count1);
     }
+    cpts.push_back(std::move(cpt));
   }
+  InteractionGraph graph(0, max_lag);
+  graph.dense_ = std::move(cpts);
   return graph;
 }
 

@@ -75,7 +75,8 @@ class Registry {
   /// they have no single scalar value) in the deterministic exposition
   /// order, passing the current value as a double. The callback runs
   /// under the registry mutex and therefore must not call back into
-  /// this registry. This is the sampling hook for TimeSeriesStore.
+  /// this registry. Benchmarks use it to read counters back without
+  /// parsing an export.
   using ScalarVisitor = std::function<void(
       const std::string& name, const Labels& labels, MetricKind kind,
       double value)>;

@@ -7,9 +7,9 @@
 // attributions per tenant, and the registry counters
 // `serve_root_cause_blame_total{tenant,device}` /
 // `serve_root_cause_rank1_total{device}` plus the attribution-latency
-// histogram — which therefore flow into /metrics, the --metrics-interval
-// JSONL, and the TimeSeriesStore history (where the
-// root_cause_blame_spike watchdog rule watches them).
+// histogram — which therefore flow into /metrics and the
+// --metrics-interval JSONL (the root_cause_blame_spike rule in
+// deploy/alert_rules.yml watches the rank-1 counter).
 //
 // record() runs on shard worker threads but only on the alarm path; a
 // plain mutex is fine there and keeps the scrape-side reads trivially

@@ -12,13 +12,10 @@
 //   /statusz  JSON: service summary + per-tenant model health (+ the
 //             watchdog's per-shard verdicts when one is attached)
 //   /tracez   JSON: recent span stage totals from the global tracer
+//   /rootcausez  JSON (or ?format=text): fleet root-cause blame
 //
-// With the retention/alerting plane attached (all optional):
-//
-//   /metrics/history?series=a,b*&window=300&tier=raw|agg
-//             JSON windows from the obs::TimeSeriesStore ring buffers
-//   /alertz   obs::AlertEngine rule states — JSON, or human text with
-//             ?format=text
+// With a watchdog attached, /metrics and /statusz refresh it before
+// rendering, so the serve_watchdog_* gauges are fresh on every scrape.
 //
 // Call it between constructing the server and server.start(), and only
 // start the server once every tenant is registered — the handlers walk
@@ -30,9 +27,7 @@
 
 #include <string>
 
-#include "causaliot/obs/alert.hpp"
 #include "causaliot/obs/http_server.hpp"
-#include "causaliot/obs/time_series.hpp"
 #include "causaliot/serve/service.hpp"
 #include "causaliot/serve/watchdog.hpp"
 
@@ -41,14 +36,8 @@ namespace causaliot::serve {
 struct IntrospectionOptions {
   /// Free-form build/deployment label echoed in /statusz.
   std::string build_label = "causaliot";
-  /// When set, /metrics/history serves this store's ring buffers.
-  /// Must outlive the server.
-  obs::TimeSeriesStore* history = nullptr;
-  /// When set, /alertz serves this engine's rule states. Must outlive
-  /// the server.
-  obs::AlertEngine* alerts = nullptr;
-  /// When set, /statusz gains a "watchdog" object. Must outlive the
-  /// server.
+  /// When set, /metrics and /statusz refresh it per scrape and
+  /// /statusz gains a "watchdog" object. Must outlive the server.
   Watchdog* watchdog = nullptr;
 };
 

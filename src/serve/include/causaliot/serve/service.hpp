@@ -81,8 +81,8 @@ struct ServiceConfig {
   /// Artificial per-event processing delay in microseconds. 0 (the only
   /// sane production value) is a single predictable branch; anything
   /// else slows the workers down deterministically so ops drills and CI
-  /// smokes can saturate a tiny queue and watch the watchdog/alert
-  /// plane fire without racing the real detection speed.
+  /// smokes can saturate a tiny queue and watch the watchdog gauges
+  /// move without racing the real detection speed.
   std::uint32_t debug_event_delay_us = 0;
   /// Device catalog labeling blamed devices in the root-cause plane
   /// (blame counters, /rootcausez). nullptr labels by numeric id
@@ -232,15 +232,6 @@ class DetectionService {
   ShardProgress shard_progress(std::size_t shard) const;
   std::size_t queue_capacity() const { return config_.queue_capacity; }
 
-  /// Refreshes every scrape-derived gauge (queue depths + model health)
-  /// without serializing anything — the TimeSeriesStore pre-sample hook,
-  /// and what every scrape entry point calls first.
-  void refresh_gauges() const {
-    refresh_queue_gauges();
-    refresh_model_gauges();
-    health_.refresh();
-  }
-
   /// Fleet model-memory accounting (the serve_model_* gauges).
   /// resident_bytes counts every distinct model component once —
   /// skeletons, base CPT payloads, and per-snapshot deltas are keyed by
@@ -356,6 +347,14 @@ class DetectionService {
   void process_event(Shard& shard, ShardItem& item);
   void deliver(TenantHandle handle, TenantSession& session,
                detect::AnomalyReport report);
+  /// Refreshes every scrape-derived gauge (queue depths + model health)
+  /// without serializing anything; every scrape entry point calls it
+  /// first.
+  void refresh_gauges() const {
+    refresh_queue_gauges();
+    refresh_model_gauges();
+    health_.refresh();
+  }
   void refresh_queue_gauges() const;
   void refresh_model_gauges() const;
   /// Charges `tenant` for `model`'s footprint: shared components

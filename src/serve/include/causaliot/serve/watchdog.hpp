@@ -1,18 +1,17 @@
 // Serve-side self-monitoring: turns the shard workers' liveness
-// evidence (DetectionService::ShardProgress) into registry gauges and
-// built-in alert rules, so the process notices its own failure modes —
-// a wedged worker, a queue pinned at its high watermark, an ingest
-// plane rejecting a spike of traffic, a tenant serving off a stale
-// snapshot — before an operator does.
+// evidence (DetectionService::ShardProgress) into registry gauges, so
+// a wedged worker or a queue pinned at its high watermark shows up on
+// /metrics and /statusz. Alerting on those gauges belongs to the
+// scraper: deploy/alert_rules.yml holds the stock Prometheus rules.
 //
-// refresh(now_ns) is driven by the TimeSeriesStore's pre-sample hook
-// (so every history tick carries fresh watchdog gauges), and the
-// default_rules() ride the same AlertEngine as user rules. The stall
-// detector distinguishes idle from stuck: a frozen heartbeat only
-// counts as a stall while the shard queue is non-empty and has stayed
-// frozen for stall_seconds.
+// refresh(now_ns) runs wherever the other scrape-derived gauges are
+// refreshed: at the top of each /metrics and /statusz scrape and on
+// each --metrics-interval snapshot. The stall detector distinguishes
+// idle from stuck: a frozen heartbeat only counts as a stall while the
+// shard queue is non-empty and has stayed frozen for kStallSeconds,
+// which takes two refreshes at least that far apart.
 //
-// Exported gauges (all refreshed per tick, never on the event path):
+// Exported gauges (all refreshed per scrape, never on the event path):
 //   serve_watchdog_shard_heartbeat{shard}       items dequeued so far
 //   serve_watchdog_shard_stalled{shard}         0 | 1
 //   serve_watchdog_queue_saturation_ppm{shard}  depth/capacity * 1e6
@@ -24,50 +23,28 @@
 #include <string>
 #include <vector>
 
-#include "causaliot/obs/alert.hpp"
 #include "causaliot/obs/registry.hpp"
 #include "causaliot/serve/service.hpp"
 
 namespace causaliot::serve {
 
-struct WatchdogConfig {
-  /// A non-empty queue whose worker heartbeat has not advanced for this
-  /// long is a stalled shard.
-  double stall_seconds = 5.0;
-  /// Built-in rule: queue saturation (depth / capacity) at or above
-  /// this fraction...
-  double queue_saturation = 0.8;
-  /// ...sustained for this long fires queue_high_watermark.
-  double saturation_for_seconds = 5.0;
-  /// Built-in rule: total ingest rejects per second over
-  /// reject_window_seconds...
-  double reject_rate_per_s = 5.0;
-  double reject_window_seconds = 10.0;
-  /// ...sustained for this long fires ingest_reject_spike.
-  double reject_for_seconds = 2.0;
-  /// Built-in rule: any tenant serving a snapshot older than this fires
-  /// model_snapshot_stale (default one week).
-  double snapshot_age_seconds = 7 * 86400.0;
-  /// Built-in rule: any single device collecting rank-1 root-cause
-  /// blame faster than this over blame_window_seconds...
-  double blame_rate_per_s = 1.0;
-  double blame_window_seconds = 30.0;
-  /// ...sustained for this long fires root_cause_blame_spike.
-  double blame_for_seconds = 5.0;
-};
-
 class Watchdog {
  public:
+  /// A non-empty queue whose worker heartbeat has not advanced for this
+  /// long is a stalled shard.
+  static constexpr double kStallSeconds = 5.0;
+
   /// Registers the serve_watchdog_* gauges on the service's registry.
   /// The service must outlive the watchdog.
-  Watchdog(DetectionService& service, WatchdogConfig config = {});
+  explicit Watchdog(DetectionService& service);
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
   /// One evaluation pass: samples every shard's progress, advances the
-  /// stall tracking, publishes the gauges. One caller at a time (the
-  /// sampler thread); internally serialized against json().
+  /// stall tracking, publishes the gauges. Safe from concurrent scrapes
+  /// (serialized internally); a now_ns older than an earlier refresh's
+  /// counts as no time elapsed.
   void refresh(std::uint64_t now_ns);
 
   /// Shards currently considered stalled (as of the last refresh).
@@ -75,12 +52,6 @@ class Watchdog {
 
   /// The /statusz fragment: {"stalled_shards": N, "shards": [...]}.
   std::string json(std::uint64_t now_ns) const;
-
-  /// The built-in ruleset `serve` runs when no --alert-rules file is
-  /// given: shard_stalled, queue_high_watermark, ingest_reject_spike,
-  /// model_snapshot_stale, root_cause_blame_spike — all over metrics
-  /// this watchdog (or the existing serve planes) already export.
-  std::vector<obs::AlertRule> default_rules() const;
 
  private:
   struct ShardTrack {
@@ -93,7 +64,6 @@ class Watchdog {
   };
 
   DetectionService& service_;
-  WatchdogConfig config_;
   /// Guards tracks_; refresh() writes, json()/stalled_shards() read.
   mutable std::mutex mutex_;
   std::vector<ShardTrack> tracks_;

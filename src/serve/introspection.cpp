@@ -9,7 +9,10 @@ namespace causaliot::serve {
 
 void attach_introspection(obs::HttpServer& server, DetectionService& service,
                           IntrospectionOptions options) {
-  server.handle("/metrics", [&service](const obs::HttpRequest&) {
+  server.handle("/metrics", [&service, options](const obs::HttpRequest&) {
+    if (options.watchdog != nullptr) {
+      options.watchdog->refresh(obs::Tracer::now_ns());
+    }
     return obs::HttpResponse::text(service.prometheus(),
                                    obs::kContentTypePrometheus);
   });
@@ -48,9 +51,10 @@ void attach_introspection(obs::HttpServer& server, DetectionService& service,
         // service knows nothing about its build label or which SIMD
         // kernel backend the capability probe selected, the process does.
         if (options.watchdog != nullptr) {
-          body.insert(1, "\"watchdog\": " +
-                             options.watchdog->json(obs::Tracer::now_ns()) +
-                             ", ");
+          const std::uint64_t now_ns = obs::Tracer::now_ns();
+          options.watchdog->refresh(now_ns);
+          body.insert(1,
+                      "\"watchdog\": " + options.watchdog->json(now_ns) + ", ");
         }
         body.insert(
             1, util::format(
@@ -79,44 +83,6 @@ void attach_introspection(obs::HttpServer& server, DetectionService& service,
     }
     return obs::HttpResponse::json(service.blame().to_json(tenant));
   });
-  if (options.history != nullptr) {
-    obs::TimeSeriesStore* history = options.history;
-    server.handle(
-        "/metrics/history", [history](const obs::HttpRequest& request) {
-          const std::string series =
-              obs::query_param(request.query, "series");
-          const std::string window_text =
-              obs::query_param(request.query, "window", "300");
-          const std::string tier =
-              obs::query_param(request.query, "tier", "raw");
-          const util::Result<double> window =
-              util::parse_double(window_text);
-          if (!window.ok() || *window < 0.0) {
-            obs::HttpResponse out;
-            out.status = 400;
-            out.body = "bad window: expected non-negative seconds\n";
-            return out;
-          }
-          if (tier != "raw" && tier != "agg") {
-            obs::HttpResponse out;
-            out.status = 400;
-            out.body = "bad tier: expected raw or agg\n";
-            return out;
-          }
-          return obs::HttpResponse::json(history->history_json(
-              series, *window, tier, obs::Tracer::now_ns()));
-        });
-  }
-  if (options.alerts != nullptr) {
-    obs::AlertEngine* alerts = options.alerts;
-    server.handle("/alertz", [alerts](const obs::HttpRequest& request) {
-      const std::uint64_t now_ns = obs::Tracer::now_ns();
-      if (obs::query_param(request.query, "format", "json") == "text") {
-        return obs::HttpResponse::text(alerts->to_text(now_ns));
-      }
-      return obs::HttpResponse::json(alerts->to_json(now_ns));
-    });
-  }
 }
 
 }  // namespace causaliot::serve

@@ -6,8 +6,7 @@
 
 namespace causaliot::serve {
 
-Watchdog::Watchdog(DetectionService& service, WatchdogConfig config)
-    : service_(service), config_(config) {
+Watchdog::Watchdog(DetectionService& service) : service_(service) {
   obs::Registry& registry = service_.registry();
   const std::size_t shards = service_.shard_count();
   tracks_.resize(shards);
@@ -32,8 +31,7 @@ Watchdog::Watchdog(DetectionService& service, WatchdogConfig config)
 
 void Watchdog::refresh(std::uint64_t now_ns) {
   const double capacity = static_cast<double>(service_.queue_capacity());
-  const std::uint64_t stall_ns =
-      static_cast<std::uint64_t>(config_.stall_seconds * 1e9);
+  constexpr auto stall_ns = static_cast<std::uint64_t>(kStallSeconds * 1e9);
   std::lock_guard<std::mutex> lock(mutex_);
   std::int64_t stalled_total = 0;
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
@@ -44,8 +42,10 @@ void Watchdog::refresh(std::uint64_t now_ns) {
       track.heartbeat = progress.heartbeat;
       track.changed_ns = now_ns;
       track.stalled = false;
-    } else if (progress.queue_depth > 0 &&
+    } else if (progress.queue_depth > 0 && now_ns > track.changed_ns &&
                now_ns - track.changed_ns >= stall_ns) {
+      // Concurrent scrapes can deliver an older now_ns after a newer
+      // one; the guard keeps that from wrapping into a huge elapsed.
       track.stalled = true;
     } else if (progress.queue_depth == 0) {
       // Idle, not stuck: nothing to dequeue proves nothing about the
@@ -86,7 +86,7 @@ std::string Watchdog::json(std::uint64_t now_ns) const {
   std::string out =
       util::format("{\"stalled_shards\": %zu, \"stall_seconds\": %.1f, "
                    "\"shards\": [",
-                   stalled_total, config_.stall_seconds);
+                   stalled_total, kStallSeconds);
   const std::size_t capacity = service_.queue_capacity();
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
     const ShardTrack& track = tracks_[i];
@@ -104,66 +104,6 @@ std::string Watchdog::json(std::uint64_t now_ns) const {
   }
   out += "]}";
   return out;
-}
-
-std::vector<obs::AlertRule> Watchdog::default_rules() const {
-  std::vector<obs::AlertRule> rules;
-
-  obs::AlertRule stalled;
-  stalled.name = "shard_stalled";
-  stalled.metric = "serve_watchdog_shard_stalled";
-  stalled.kind = obs::AlertKind::kThreshold;
-  stalled.op = obs::AlertOp::kGt;
-  stalled.value = 0.5;
-  // The hysteresis already lives in the stall detector (stall_seconds),
-  // so the rule fires on the first tick that reports a stalled shard.
-  stalled.for_seconds = 0.0;
-  rules.push_back(std::move(stalled));
-
-  obs::AlertRule watermark;
-  watermark.name = "queue_high_watermark";
-  watermark.metric = "serve_watchdog_queue_saturation_ppm";
-  watermark.kind = obs::AlertKind::kThreshold;
-  watermark.op = obs::AlertOp::kGe;
-  watermark.value = config_.queue_saturation * 1e6;
-  watermark.for_seconds = config_.saturation_for_seconds;
-  rules.push_back(std::move(watermark));
-
-  obs::AlertRule rejects;
-  rejects.name = "ingest_reject_spike";
-  rejects.metric = "serve_ingest_rejected_total";
-  rejects.kind = obs::AlertKind::kRate;
-  rejects.op = obs::AlertOp::kGt;
-  rejects.value = config_.reject_rate_per_s;
-  rejects.window_seconds = config_.reject_window_seconds;
-  rejects.for_seconds = config_.reject_for_seconds;
-  rules.push_back(std::move(rejects));
-
-  obs::AlertRule stale;
-  stale.name = "model_snapshot_stale";
-  stale.metric = "serve_tenant_snapshot_age_seconds";
-  stale.kind = obs::AlertKind::kThreshold;
-  stale.op = obs::AlertOp::kGt;
-  stale.value = config_.snapshot_age_seconds;
-  stale.for_seconds = 0.0;
-  rules.push_back(std::move(stale));
-
-  // A single device repeatedly topping root-cause attributions across
-  // the fleet is the localization plane's page-worthy signal: either
-  // the device is genuinely misbehaving in many homes or its model is
-  // systematically wrong. Empty labels make the rate rule watch every
-  // per-device instance and alert on the worst offender.
-  obs::AlertRule blame;
-  blame.name = "root_cause_blame_spike";
-  blame.metric = "serve_root_cause_rank1_total";
-  blame.kind = obs::AlertKind::kRate;
-  blame.op = obs::AlertOp::kGt;
-  blame.value = config_.blame_rate_per_s;
-  blame.window_seconds = config_.blame_window_seconds;
-  blame.for_seconds = config_.blame_for_seconds;
-  rules.push_back(std::move(blame));
-
-  return rules;
 }
 
 }  // namespace causaliot::serve

@@ -144,9 +144,41 @@ TEST_F(GraphFileTest, SaveLoadRoundTrip) {
   EXPECT_DOUBLE_EQ(loaded.value().cpt(2).support(key), 2.0);
 }
 
-TEST_F(GraphFileTest, LoadRejectsCorruptHeader) {
-  std::ofstream(path_) << "not a dig file\n";
-  EXPECT_FALSE(InteractionGraph::load(path_.string()).ok());
+TEST_F(GraphFileTest, LoadRejectsCorruptFiles) {
+  // Model files are untrusted input: each of these must come back as a
+  // parse error, never a CHECK abort or a bad_alloc.
+  const char* const kCorrupt[] = {
+      "not a dig file\n",
+      // Cause device out of range.
+      "dig v1 2 1\nchild 0 1\n  cause 999 1\n  entries 0\n"
+      "child 1 0\n  entries 0\n",
+      // Negative CPT count.
+      "dig v1 2 1\nchild 0 1\n  cause 1 1\n  entries 1\n    0 -1 2\n"
+      "child 1 0\n  entries 0\n",
+      // Device count far beyond the records that follow.
+      "dig v1 99999999999 1\n",
+      // max_lag must be at least 1.
+      "dig v1 2 0\n",
+      // Duplicated cause.
+      "dig v1 2 1\nchild 0 2\n  cause 1 1\n  cause 1 1\n  entries 0\n"
+      "child 1 0\n  entries 0\n",
+      // More causes than a 64-bit CPT key holds.
+      "dig v1 2 1\nchild 0 65\n",
+      // Cause lag beyond max_lag.
+      "dig v1 2 1\nchild 0 1\n  cause 1 2\n  entries 0\n"
+      "child 1 0\n  entries 0\n",
+      // CPT key with bits beyond the child's one cause.
+      "dig v1 2 1\nchild 0 1\n  cause 1 1\n  entries 1\n    2 1 1\n"
+      "child 1 0\n  entries 0\n",
+      // Child records out of order.
+      "dig v1 2 1\nchild 1 0\n  entries 0\nchild 0 0\n  entries 0\n",
+  };
+  for (const char* text : kCorrupt) {
+    std::ofstream(path_) << text;
+    const auto loaded = InteractionGraph::load(path_.string());
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.error().code, util::ErrorCode::kParseError) << text;
+  }
 }
 
 TEST(InteractionGraph, LoadMissingFileFails) {

@@ -133,8 +133,7 @@ TEST(ObsRegistry, ExportOrderIsDeterministicAcrossRegistrationOrder) {
   // The exposition order — families sorted by name, instances sorted by
   // label vector — is a documented contract (registry.hpp): dashboards
   // diff /metrics payloads, the JSONL metrics log is compared across
-  // runs, and the TimeSeriesStore walks the same order via
-  // visit_scalars(). Two registries fed the same metrics in opposite
+  // runs, and visit_scalars() walks the same order. Two registries fed the same metrics in opposite
   // orders must serialize byte-identically.
   const auto populate = [](Registry& registry, bool reversed) {
     const std::vector<std::pair<std::string, std::string>> instances = {
@@ -168,8 +167,8 @@ TEST(ObsRegistry, ExportOrderIsDeterministicAcrossRegistrationOrder) {
   EXPECT_LT(json.find("\"shard\": \"0\"", alpha0),
             json.find("\"shard\": \"2\"", alpha0));
 
-  // visit_scalars() walks the identical order — the history sampler's
-  // series discovery is as deterministic as the exports.
+  // visit_scalars() walks the identical order, so readers that walk
+  // the registry see it as deterministically as the exports.
   std::vector<std::string> visited;
   forward.visit_scalars([&](const std::string& name, const Labels& labels,
                             MetricKind, double) {

@@ -299,6 +299,45 @@ TEST(Introspection, ReadyzFlipsAcrossServiceLifecycleOverLoopback) {
   server.stop();
 }
 
+TEST(Introspection, ScrapesRefreshAttachedWatchdog) {
+  // Nothing else refreshes the watchdog in a running serve: each
+  // /metrics and /statusz scrape must publish current shard progress.
+  ServiceConfig config;
+  config.shard_count = 1;
+  DetectionService service(config, [](const ServedAlarm&) {});
+  const TenantHandle home =
+      service.add_tenant("home-a", tiny_snapshot(1), {0, 0});
+  Watchdog watchdog(service);
+  IntrospectionOptions options;
+  options.watchdog = &watchdog;
+  obs::HttpServer server;
+  attach_introspection(server, service, options);
+  ASSERT_TRUE(server.start().ok());
+  service.start();
+
+  ASSERT_EQ(service.submit(home, {0, 1, 1.0}),
+            DetectionService::SubmitResult::kAccepted);
+  ASSERT_EQ(service.submit(home, {1, 0, 2.0}),
+            DetectionService::SubmitResult::kAccepted);
+  wait_for_events(service, home, 2);
+
+  const HttpReply metrics = http_get(server.port(), "/metrics");
+  EXPECT_NE(metrics.body.find("serve_watchdog_shard_heartbeat{shard=\"0\"} 2"),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("serve_watchdog_stalled_shards 0"),
+            std::string::npos);
+
+  ASSERT_EQ(service.submit(home, {0, 0, 3.0}),
+            DetectionService::SubmitResult::kAccepted);
+  wait_for_events(service, home, 3);
+  const HttpReply statusz = http_get(server.port(), "/statusz");
+  EXPECT_NE(statusz.body.find("\"watchdog\": {\"stalled_shards\": 0"),
+            std::string::npos);
+  EXPECT_NE(statusz.body.find("\"heartbeat\": 3"), std::string::npos);
+  server.stop();
+  service.shutdown();
+}
+
 TEST(Introspection, ModelSwapUpdatesHealthProvenance) {
   ServiceConfig config;
   config.shard_count = 1;

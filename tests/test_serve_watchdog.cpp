@@ -1,9 +1,7 @@
 // Watchdog semantics over a real DetectionService: the stall detector
 // (frozen heartbeat + non-empty queue, with idle explicitly not stuck),
-// exact queue-saturation ppm math, the /statusz JSON fragment, the
-// built-in default ruleset, and an end-to-end pass where a genuinely
-// wedged shard drives the shard_stalled rule to firing through the
-// TimeSeriesStore + AlertEngine.
+// exact queue-saturation ppm math, the /statusz JSON fragment, and
+// refreshes from concurrent scrapes, including out-of-clock-order ones.
 //
 // Determinism comes from an UNSTARTED service: events submitted before
 // start() sit in the shard queue (depth > 0) while the worker heartbeat
@@ -11,13 +9,14 @@
 // synthetic; nothing here sleeps or races a real worker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "causaliot/core/experiment.hpp"
-#include "causaliot/obs/alert.hpp"
-#include "causaliot/obs/time_series.hpp"
 #include "causaliot/serve/service.hpp"
 #include "causaliot/serve/watchdog.hpp"
 
@@ -145,110 +144,50 @@ TEST_F(ServeWatchdogTest, SaturationGaugeIsExactPartsPerMillion) {
             500000);  // 5 / 10 in ppm, exactly
 }
 
-TEST_F(ServeWatchdogTest, DefaultRulesCoverTheFiveFailureModes) {
-  auto service = parked_service(/*queue_capacity=*/64, /*queued=*/0);
-  WatchdogConfig config;
-  config.queue_saturation = 0.8;
-  config.saturation_for_seconds = 5.0;
-  config.reject_rate_per_s = 5.0;
-  config.reject_window_seconds = 10.0;
-  config.reject_for_seconds = 2.0;
-  config.snapshot_age_seconds = 7 * 86400.0;
-  Watchdog watchdog(*service, config);
-
-  const std::vector<obs::AlertRule> rules = watchdog.default_rules();
-  ASSERT_EQ(rules.size(), 5u);
-
-  EXPECT_EQ(rules[0].name, "shard_stalled");
-  EXPECT_EQ(rules[0].metric, "serve_watchdog_shard_stalled");
-  EXPECT_EQ(rules[0].kind, obs::AlertKind::kThreshold);
-  EXPECT_DOUBLE_EQ(rules[0].for_seconds, 0.0);
-
-  EXPECT_EQ(rules[1].name, "queue_high_watermark");
-  EXPECT_EQ(rules[1].metric, "serve_watchdog_queue_saturation_ppm");
-  EXPECT_EQ(rules[1].kind, obs::AlertKind::kThreshold);
-  EXPECT_EQ(rules[1].op, obs::AlertOp::kGe);
-  EXPECT_DOUBLE_EQ(rules[1].value, 0.8 * 1e6);
-  EXPECT_DOUBLE_EQ(rules[1].for_seconds, 5.0);
-
-  EXPECT_EQ(rules[2].name, "ingest_reject_spike");
-  EXPECT_EQ(rules[2].metric, "serve_ingest_rejected_total");
-  EXPECT_EQ(rules[2].kind, obs::AlertKind::kRate);
-  EXPECT_DOUBLE_EQ(rules[2].value, 5.0);
-  EXPECT_DOUBLE_EQ(rules[2].window_seconds, 10.0);
-
-  EXPECT_EQ(rules[3].name, "model_snapshot_stale");
-  EXPECT_EQ(rules[3].metric, "serve_tenant_snapshot_age_seconds");
-  EXPECT_EQ(rules[3].kind, obs::AlertKind::kThreshold);
-  EXPECT_DOUBLE_EQ(rules[3].value, 7 * 86400.0);
-
-  EXPECT_EQ(rules[4].name, "root_cause_blame_spike");
-  EXPECT_EQ(rules[4].metric, "serve_root_cause_rank1_total");
-  EXPECT_EQ(rules[4].kind, obs::AlertKind::kRate);
-  EXPECT_EQ(rules[4].op, obs::AlertOp::kGt);
-  EXPECT_DOUBLE_EQ(rules[4].value, 1.0);
-  EXPECT_DOUBLE_EQ(rules[4].window_seconds, 30.0);
-  EXPECT_DOUBLE_EQ(rules[4].for_seconds, 5.0);
-  // Empty labels: the rate rule watches every per-device instance of the
-  // rank-1 counter and alerts on the worst offender.
-  EXPECT_TRUE(rules[4].labels.empty());
-
-  // The built-in ruleset must survive the AlertEngine's own validation
-  // (unique names, kind/parameter requirements).
-  obs::TimeSeriesConfig store_config;
-  store_config.interval_ms = 0;
-  obs::TimeSeriesStore store(service->registry(), store_config);
-  obs::AlertEngine engine(store, service->registry(),
-                          watchdog.default_rules());
-  EXPECT_EQ(engine.rule_count(), 5u);
+TEST_F(ServeWatchdogTest, OutOfOrderRefreshIsNoElapsedTime) {
+  // Scrapes refresh from several HTTP workers, so a refresh stamped
+  // earlier can land after a later one. Going back in time must not
+  // read as an enormous elapsed interval on a frozen, non-empty queue.
+  auto service = parked_service(/*queue_capacity=*/64, /*queued=*/8);
+  Watchdog watchdog(*service);
+  watchdog.refresh(10 * kSecond);
+  watchdog.refresh(9 * kSecond);
+  EXPECT_EQ(watchdog.stalled_shards(), 0u);
+  EXPECT_EQ(service->registry().gauge("serve_watchdog_stalled_shards").value(),
+            0);
 }
 
-TEST_F(ServeWatchdogTest, WedgedShardDrivesShardStalledRuleToFiring) {
-  // Tiny queue, fully parked: saturation 100%, heartbeat frozen.
-  auto service = parked_service(/*queue_capacity=*/4, /*queued=*/4);
+TEST_F(ServeWatchdogTest, ConcurrentScrapeRefreshesWhileShardsRun) {
+  // Every /metrics and /statusz scrape refreshes the watchdog on its own
+  // HTTP worker while the shard workers run (TSan job: no data race).
+  auto service = parked_service(/*queue_capacity=*/64, /*queued=*/0);
   Watchdog watchdog(*service);
-
-  obs::TimeSeriesConfig store_config;
-  store_config.interval_ms = 0;  // the test is the sampler
-  obs::TimeSeriesStore store(service->registry(), store_config);
-  obs::AlertEngine engine(store, service->registry(),
-                          watchdog.default_rules());
-  // One tick, in the production hook order: watchdog -> sample -> alerts.
-  const auto tick = [&](std::uint64_t t_s) {
-    watchdog.refresh(t_s * kSecond);
-    store.sample_at(t_s * kSecond);
-    engine.evaluate(t_s * kSecond);
-  };
-
-  tick(1);  // initializes stall tracking; saturation already 100%
-  auto status = engine.status();
-  ASSERT_EQ(status.size(), 5u);
-  EXPECT_EQ(status[0].state, obs::AlertState::kInactive);  // shard_stalled
-  EXPECT_EQ(status[1].state,
-            obs::AlertState::kPending);  // queue_high_watermark, for 5s
-
-  tick(10);  // 9s frozen: the watchdog declares the stall, both rules fire
-  status = engine.status();
-  EXPECT_EQ(status[0].state, obs::AlertState::kFiring);
-  EXPECT_EQ(status[0].series,
-            "serve_watchdog_shard_stalled{shard=\"0\"}");
-  EXPECT_EQ(status[1].state, obs::AlertState::kFiring);
-  EXPECT_EQ(status[2].state,
-            obs::AlertState::kInactive);  // no ingest rejects
-  EXPECT_EQ(status[3].state,
-            obs::AlertState::kInactive);  // snapshot is fresh
-  EXPECT_EQ(status[4].state,
-            obs::AlertState::kInactive);  // no rank-1 blame moved
-  EXPECT_EQ(engine.firing_count(), 2u);
-
-  // Drain and recover: both alerts resolve on the next tick.
   service->start();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> scrapers;
+  for (int t = 0; t < 3; ++t) {
+    scrapers.emplace_back([&] {
+      std::uint64_t now_ns = kSecond;
+      while (!stop.load(std::memory_order_relaxed)) {
+        watchdog.refresh(now_ns);
+        EXPECT_FALSE(watchdog.json(now_ns).empty());
+        now_ns += kSecond / 10;
+      }
+    });
+  }
+  const std::size_t events =
+      std::min<std::size_t>(2000, experiment_->test_runtime_events.size());
+  const TenantHandle home = 0;  // the one tenant parked_service() adds
+  for (std::size_t i = 0; i < events; ++i) {
+    EXPECT_EQ(service->submit(home, experiment_->test_runtime_events[i]),
+              DetectionService::SubmitResult::kAccepted);
+  }
   service->shutdown();
-  tick(11);
-  status = engine.status();
-  EXPECT_EQ(status[0].state, obs::AlertState::kResolved);
-  EXPECT_EQ(status[1].state, obs::AlertState::kResolved);
-  EXPECT_EQ(engine.firing_count(), 0u);
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& scraper : scrapers) scraper.join();
+  watchdog.refresh(1000 * kSecond);
+  EXPECT_EQ(watchdog.stalled_shards(), 0u);
+  EXPECT_EQ(service->shard_progress(0).heartbeat, events);
 }
 
 }  // namespace
