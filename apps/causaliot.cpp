@@ -97,8 +97,7 @@ const std::map<std::string, std::vector<FlagSpec>>& command_flags() {
         {"metrics-out", kText}, {"prom-out", kText},
         {"trace-out", kText}, {"trace-sample", kCount},
         {"listen", kCount}, {"debug-event-delay-us", kCount},
-        {"root-cause-depth", kCount}, {"root-cause-history", kCount},
-        {"share-templates", kCount}}},
+        {"root-cause-depth", kCount}, {"root-cause-history", kCount}}},
       {"eval",
        {{"profile", kText}, {"days", kReal}, {"test-days", kReal},
         {"chains", kCount}, {"kmax", kCount}, {"seed", kCount}}},
@@ -536,24 +535,15 @@ int cmd_serve(const Args& args) {
   if (!trace_out.empty()) obs::Tracer::global().set_enabled(true);
 
   // Fleet model sharing: the loaded model becomes the "default" template
-  // so every tenant — boot-time --tenants and add_tenant control verbs
-  // with {"template": "default"} — reads one skeleton and base CPT
-  // payload through a per-tenant copy-on-write delta.
-  // --share-templates 0 is the escape hatch: every instantiation is a
-  // full private copy (alarms are bit-identical either way). The
-  // registry outlives the service (declared first, destroyed last).
+  // so every tenant — boot-time --tenants, add_tenant control verbs with
+  // or without {"template": "default"} — serves from one immutable
+  // snapshot. The registry outlives the service (declared first,
+  // destroyed last).
   serve::TemplateRegistry templates;
   config.templates = &templates;
-  config.share_templates = args.get_u64("share-templates", 1) != 0;
-  const double threshold = args.get_double("threshold", 0.99);
-  const double laplace = args.get_double("laplace", 0.1);
-  const auto default_template = templates.publish(
-      "default", graph.value(), threshold, laplace, /*version=*/1);
-  auto snapshot =
-      config.share_templates
-          ? serve::instantiate(*default_template)
-          : serve::make_snapshot(std::move(graph).value(), threshold,
-                                 laplace, /*version=*/1);
+  const auto snapshot = serve::instantiate(*templates.publish(
+      "default", graph.value(), args.get_double("threshold", 0.99),
+      args.get_double("laplace", 0.1), /*version=*/1));
 
   // Alarms stream out as provenance-enriched JSONL; stdout is shared by
   // worker threads and the metrics streamer.
@@ -919,10 +909,6 @@ void usage() {
       "           [--root-cause-depth D (alarm attribution walk depth;"
       " default 3)] [--root-cause-history K (recent attributions kept per"
       " tenant for /rootcausez; default 8)]\n"
-      "           [--share-templates 0|1 (default 1: tenants share the"
-      " model skeleton + base CPTs copy-on-write; 0 deep-copies per"
-      " tenant. Alarms are bit-identical either way; dedup shows in"
-      " serve_model_* gauges and /statusz \"models\")]\n"
       "  eval     [--profile P] [--days N (train-sim days; default 14)]"
       " [--test-days N (held-out days; default 10)] [--chains N (injected"
       " chains per case; default 200)] [--kmax K] [--seed N]\n"

@@ -1,14 +1,15 @@
 // Fleet-scale model residency benchmarks (google-benchmark): what one
-// deployment pays in model bytes to host N tenants instantiated from a
-// single published template, shared (interned skeleton + COW deltas)
-// versus private (a full InteractionGraph copy per tenant), and what —
-// if anything — the sharing costs in events/sec on the hot path.
+// deployment pays in model bytes to host N tenants, shared (every tenant
+// on one published template's snapshot) versus private (one
+// make_snapshot of a graph copy per tenant), and what — if anything —
+// the sharing costs in events/sec on the hot path.
 //
 // The headline counters the perf trajectory tracks:
-//   BM_FleetResidency  resident_bytes, dedup_ratio (shared must be
-//                      >= 5x smaller than private at 10k tenants),
-//                      accounting_exact (service byte accounting equals
-//                      the closed-form skeleton + base + N*delta sum)
+//   BM_FleetResidency  resident_bytes, dedup_ratio (shared must equal
+//                      the fleet size at 10k tenants), accounting_exact
+//                      (service byte accounting equals one model's
+//                      bytes shared, or fleet x one model's bytes
+//                      private)
 //   BM_FleetThroughput events/s shared vs private (within 5%)
 #include <benchmark/benchmark.h>
 
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "causaliot/core/pipeline.hpp"
-#include "causaliot/graph/analysis.hpp"
 #include "causaliot/serve/service.hpp"
 #include "causaliot/serve/template_registry.hpp"
 #include "causaliot/util/rng.hpp"
@@ -70,24 +70,33 @@ const FleetFixture& fixture() {
   return data;
 }
 
-// Builds a service hosting `fleet` tenants off one published template,
-// shared or private per `share`. Registry must outlive the service.
-serve::TenantHandle add_fleet(serve::DetectionService& service,
-                              std::size_t fleet) {
+// Registers `fleet` tenants: by template name when `share`, otherwise
+// each on its own snapshot of a graph copy. Returns their handles.
+std::vector<serve::TenantHandle> add_fleet(serve::DetectionService& service,
+                                           std::size_t fleet, bool share) {
   const FleetFixture& data = fixture();
-  serve::TenantHandle first = serve::DetectionService::kInvalidTenant;
+  std::vector<serve::TenantHandle> handles;
+  handles.reserve(fleet);
   for (std::size_t i = 0; i < fleet; ++i) {
-    const serve::TenantHandle handle = service.add_tenant(
-        "home-" + std::to_string(i), "fleet", data.initial_state);
-    if (i == 0) first = handle;
+    std::string name = "home-" + std::to_string(i);
+    handles.push_back(
+        share ? service.add_tenant(std::move(name), "fleet",
+                                   data.initial_state)
+              : service.add_tenant(
+                    std::move(name),
+                    serve::make_snapshot(data.model.graph,
+                                         data.model.score_threshold,
+                                         data.model.laplace_alpha,
+                                         /*version=*/1),
+                    data.initial_state));
   }
-  return first;
+  return handles;
 }
 
 // Residency: bytes to hold the fleet's models, measured by the
-// service's component-refcounted accounting and cross-checked against
-// the closed-form per-graph memory_footprint() sum. The timed region is
-// fleet instantiation (template find + snapshot + accounting), so the
+// service's per-snapshot refcounted accounting and cross-checked against
+// InteractionGraph::approx_bytes. The timed region is fleet
+// instantiation (template find or graph copy, plus accounting), so the
 // per-tenant setup cost is visible too.
 void BM_FleetResidency(benchmark::State& bench_state) {
   const bool share = bench_state.range(0) != 0;
@@ -104,21 +113,15 @@ void BM_FleetResidency(benchmark::State& bench_state) {
     serve::ServiceConfig config;
     config.shard_count = 4;
     config.templates = &registry;
-    config.share_templates = share;
     serve::DetectionService service(config, nullptr);
-    add_fleet(service, fleet);
+    add_fleet(service, fleet, share);
     stats = service.model_stats();
     benchmark::DoNotOptimize(stats.resident_bytes);
 
-    // Conservation identity: the service's running byte total must equal
-    // one instantiated graph's footprint split scaled to the fleet.
-    const auto one = share ? serve::instantiate(*tpl)
-                           : serve::instantiate_private(*tpl);
-    const graph::MemoryFootprint foot = graph::memory_footprint(one->graph);
-    const std::size_t expected =
-        share ? foot.skeleton_bytes + foot.base_cpt_bytes +
-                    fleet * foot.delta_cpt_bytes
-              : fleet * foot.total_bytes();
+    // Conservation identity: shared, the fleet pays for the template's
+    // one snapshot; private, for one full copy per tenant.
+    const std::size_t one = serve::instantiate(*tpl)->graph.approx_bytes();
+    const std::size_t expected = share ? one : fleet * one;
     accounting_exact = accounting_exact && stats.resident_bytes == expected;
   }
   bench_state.counters["fleet"] = static_cast<double>(fleet);
@@ -140,8 +143,8 @@ BENCHMARK(BM_FleetResidency)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Throughput: the detection hot path must not pay for sharing — the
-// COW delta lookup is one pointer test per cpt() call. Round-robin the
+// Throughput: the detection hot path must not pay for sharing — a
+// shared snapshot is read exactly like a private one. Round-robin the
 // event stream over a modest fleet so every shard touches shared state.
 void BM_FleetThroughput(benchmark::State& bench_state) {
   const bool share = bench_state.range(0) != 0;
@@ -159,14 +162,9 @@ void BM_FleetThroughput(benchmark::State& bench_state) {
     config.shard_count = 4;
     config.queue_capacity = 8192;
     config.templates = &registry;
-    config.share_templates = share;
     serve::DetectionService service(config, nullptr);
-    std::vector<serve::TenantHandle> handles;
-    handles.reserve(fleet);
-    for (std::size_t i = 0; i < fleet; ++i) {
-      handles.push_back(service.add_tenant("home-" + std::to_string(i),
-                                           "fleet", data.initial_state));
-    }
+    const std::vector<serve::TenantHandle> handles =
+        add_fleet(service, fleet, share);
     service.start();
     std::size_t next = 0;
     for (const preprocess::BinaryEvent& event : data.events) {

@@ -24,9 +24,6 @@ GraphSummary summarize(const InteractionGraph& graph) {
     }
     summary.cpt_assignment_count += graph.cpt(child).assignment_count();
   }
-  const MemoryFootprint footprint = memory_footprint(graph);
-  summary.skeleton_bytes = footprint.skeleton_bytes;
-  summary.cpt_bytes = footprint.base_cpt_bytes + footprint.delta_cpt_bytes;
   summary.interaction_count = pairs.size();
   summary.self_loop_count = static_cast<std::size_t>(
       std::count_if(pairs.begin(), pairs.end(),
@@ -71,40 +68,6 @@ GraphDiff diff(const InteractionGraph& before, const InteractionGraph& after) {
                       : static_cast<double>(shared.size()) /
                             static_cast<double>(union_size);
   return result;
-}
-
-MemoryFootprint memory_footprint(const InteractionGraph& graph) {
-  MemoryFootprint footprint;
-  footprint.shared = graph.is_shared();
-  if (footprint.shared) {
-    footprint.skeleton_bytes = graph.skeleton()->approx_bytes();
-    for (const Cpt& cpt : *graph.base()) {
-      footprint.base_cpt_bytes += cpt.approx_bytes();
-    }
-    // The delta's fixed cost is its slot vector (one pointer per
-    // device); each personalized child adds its full table copy.
-    footprint.delta_cpt_bytes =
-        graph.device_count() * sizeof(std::unique_ptr<Cpt>);
-    for (telemetry::DeviceId child = 0; child < graph.device_count();
-         ++child) {
-      if (const Cpt* overridden = graph.delta_cpt(child)) {
-        footprint.delta_cpt_bytes += overridden->approx_bytes();
-      }
-    }
-    return footprint;
-  }
-  // Private mode: the per-child Cpt owns both the structure (its cause
-  // vector) and the counts; split them so the skeleton-vs-CPT accounting
-  // is comparable across modes.
-  for (telemetry::DeviceId child = 0; child < graph.device_count();
-       ++child) {
-    const Cpt& cpt = graph.cpt(child);
-    const std::size_t structure =
-        sizeof(Cpt) + cpt.causes().capacity() * sizeof(LaggedNode);
-    footprint.skeleton_bytes += structure;
-    footprint.base_cpt_bytes += cpt.approx_bytes() - structure;
-  }
-  return footprint;
 }
 
 std::string describe_diff(const GraphDiff& diff) {

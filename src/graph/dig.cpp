@@ -10,57 +10,15 @@ namespace causaliot::graph {
 
 InteractionGraph::InteractionGraph(std::size_t device_count,
                                    std::size_t max_lag)
-    : max_lag_(max_lag), dense_(device_count) {
+    : max_lag_(max_lag), cpts_(device_count) {
   CAUSALIOT_CHECK_MSG(max_lag >= 1, "max_lag must be >= 1");
-}
-
-InteractionGraph::InteractionGraph(const InteractionGraph& other)
-    : max_lag_(other.max_lag_),
-      dense_(other.dense_),
-      skeleton_(other.skeleton_),
-      base_(other.base_) {
-  // The skeleton and base stay shared (copying a tenant's graph is the
-  // cheap personalization path); only the delta is deep-copied.
-  delta_.resize(other.delta_.size());
-  for (std::size_t i = 0; i < other.delta_.size(); ++i) {
-    if (other.delta_[i] != nullptr) {
-      delta_[i] = std::make_unique<Cpt>(*other.delta_[i]);
-    }
-  }
-}
-
-InteractionGraph& InteractionGraph::operator=(const InteractionGraph& other) {
-  if (this == &other) return *this;
-  InteractionGraph copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
-InteractionGraph InteractionGraph::from_template(SkeletonRef skeleton,
-                                                 CptPayloadRef base) {
-  CAUSALIOT_CHECK_MSG(skeleton != nullptr && base != nullptr,
-                      "from_template needs a skeleton and a base payload");
-  CAUSALIOT_CHECK_MSG(base->size() == skeleton->device_count(),
-                      "base payload / skeleton device-count mismatch");
-  for (telemetry::DeviceId child = 0; child < base->size(); ++child) {
-    CAUSALIOT_CHECK_MSG((*base)[child].causes() == skeleton->causes(child),
-                        "base CPT layout disagrees with skeleton");
-  }
-  InteractionGraph graph;
-  graph.skeleton_ = std::move(skeleton);
-  graph.base_ = std::move(base);
-  graph.delta_.resize(graph.skeleton_->device_count());
-  return graph;
 }
 
 void InteractionGraph::set_causes(telemetry::DeviceId child,
                                   std::vector<LaggedNode> causes) {
-  CAUSALIOT_CHECK_MSG(skeleton_ == nullptr,
-                      "cannot restructure a template-shared graph; "
-                      "clone_private() first");
-  CAUSALIOT_CHECK(child < dense_.size());
+  CAUSALIOT_CHECK(child < cpts_.size());
   for (const LaggedNode& cause : causes) {
-    CAUSALIOT_CHECK_MSG(cause.device < dense_.size(),
+    CAUSALIOT_CHECK_MSG(cause.device < cpts_.size(),
                         "cause device out of range");
     CAUSALIOT_CHECK_MSG(cause.lag >= 1 && cause.lag <= max_lag_,
                         "cause lag out of range");
@@ -69,36 +27,22 @@ void InteractionGraph::set_causes(telemetry::DeviceId child,
   CAUSALIOT_CHECK_MSG(
       std::adjacent_find(causes.begin(), causes.end()) == causes.end(),
       "duplicate cause");
-  dense_[child] = Cpt(std::move(causes));
+  cpts_[child] = Cpt(std::move(causes));
 }
 
 const std::vector<LaggedNode>& InteractionGraph::causes(
     telemetry::DeviceId child) const {
-  if (skeleton_ != nullptr) return skeleton_->causes(child);
-  CAUSALIOT_CHECK(child < dense_.size());
-  return dense_[child].causes();
+  return cpt(child).causes();
 }
 
 const Cpt& InteractionGraph::cpt(telemetry::DeviceId child) const {
-  if (skeleton_ != nullptr) {
-    CAUSALIOT_CHECK(child < delta_.size());
-    const Cpt* overridden = delta_[child].get();
-    return overridden != nullptr ? *overridden : (*base_)[child];
-  }
-  CAUSALIOT_CHECK(child < dense_.size());
-  return dense_[child];
+  CAUSALIOT_CHECK(child < cpts_.size());
+  return cpts_[child];
 }
 
 Cpt& InteractionGraph::cpt(telemetry::DeviceId child) {
-  if (skeleton_ != nullptr) {
-    CAUSALIOT_CHECK(child < delta_.size());
-    if (delta_[child] == nullptr) {
-      delta_[child] = std::make_unique<Cpt>((*base_)[child]);
-    }
-    return *delta_[child];
-  }
-  CAUSALIOT_CHECK(child < dense_.size());
-  return dense_[child];
+  CAUSALIOT_CHECK(child < cpts_.size());
+  return cpts_[child];
 }
 
 std::vector<Edge> InteractionGraph::edges() const {
@@ -112,9 +56,8 @@ std::vector<Edge> InteractionGraph::edges() const {
 }
 
 std::size_t InteractionGraph::edge_count() const {
-  if (skeleton_ != nullptr) return skeleton_->edge_count();
   std::size_t count = 0;
-  for (const Cpt& cpt : dense_) count += cpt.cause_count();
+  for (const Cpt& cpt : cpts_) count += cpt.cause_count();
   return count;
 }
 
@@ -145,44 +88,10 @@ std::vector<telemetry::DeviceId> InteractionGraph::children(
   return out;
 }
 
-std::size_t InteractionGraph::delta_count() const {
-  std::size_t count = 0;
-  for (const std::unique_ptr<Cpt>& entry : delta_) {
-    if (entry != nullptr) ++count;
-  }
-  return count;
-}
-
-const Cpt* InteractionGraph::delta_cpt(telemetry::DeviceId child) const {
-  if (skeleton_ == nullptr) return nullptr;
-  CAUSALIOT_CHECK(child < delta_.size());
-  return delta_[child].get();
-}
-
-SkeletonRef InteractionGraph::freeze_skeleton() const {
-  if (skeleton_ != nullptr) return skeleton_;
-  std::vector<std::vector<LaggedNode>> all_causes;
-  all_causes.reserve(dense_.size());
-  for (const Cpt& cpt : dense_) all_causes.push_back(cpt.causes());
-  return std::make_shared<const Skeleton>(max_lag_, std::move(all_causes));
-}
-
-CptPayloadRef InteractionGraph::freeze_cpts() const {
-  auto payload = std::make_shared<CptPayload>();
-  payload->reserve(device_count());
-  for (telemetry::DeviceId child = 0; child < device_count(); ++child) {
-    payload->push_back(cpt(child));
-  }
-  return payload;
-}
-
-InteractionGraph InteractionGraph::clone_private() const {
-  if (skeleton_ == nullptr) return *this;
-  InteractionGraph out(device_count(), max_lag());
-  for (telemetry::DeviceId child = 0; child < device_count(); ++child) {
-    out.dense_[child] = cpt(child);
-  }
-  return out;
+std::size_t InteractionGraph::approx_bytes() const {
+  std::size_t bytes = 0;
+  for (const Cpt& cpt : cpts_) bytes += cpt.approx_bytes();
+  return bytes;
 }
 
 std::string InteractionGraph::to_dot(
@@ -313,7 +222,7 @@ util::Result<InteractionGraph> InteractionGraph::load(
     cpts.push_back(std::move(cpt));
   }
   InteractionGraph graph(0, max_lag);
-  graph.dense_ = std::move(cpts);
+  graph.cpts_ = std::move(cpts);
   return graph;
 }
 

@@ -26,45 +26,9 @@ struct GraphSummary {
   std::size_t orphan_count = 0;
   /// Total CPT assignments stored across all devices (model size).
   std::size_t cpt_assignment_count = 0;
-  /// Byte accounting (see MemoryFootprint): immutable structure vs.
-  /// behaviour tables — the split that fleet-scale template sharing
-  /// exploits.
-  std::size_t skeleton_bytes = 0;
-  std::size_t cpt_bytes = 0;
 };
 
 GraphSummary summarize(const InteractionGraph& graph);
-
-/// Estimated resident bytes of one InteractionGraph, split along the
-/// sharing boundary. For a template-shared graph the skeleton and base
-/// are reference-held (shared == true): the graph uniquely owns only its
-/// delta, and N tenants of one template pay skeleton + base once.
-/// Estimates follow Cpt::approx_bytes / Skeleton::approx_bytes — they
-/// are compared against each other (dedup ratios, gauge deltas), never
-/// against an allocator's ground truth.
-struct MemoryFootprint {
-  /// Structure: cause lists (+ the Skeleton object in shared mode).
-  std::size_t skeleton_bytes = 0;
-  /// The base behaviour tables (shared payload, or the private tables).
-  std::size_t base_cpt_bytes = 0;
-  /// Copy-on-write overlay uniquely owned by this graph (slot vector +
-  /// personalized tables); always 0 for private graphs.
-  std::size_t delta_cpt_bytes = 0;
-  /// True when skeleton_bytes/base_cpt_bytes live behind shared refs.
-  bool shared = false;
-
-  /// Bytes this graph uniquely owns (a shared graph's marginal cost).
-  std::size_t unique_bytes() const {
-    return shared ? delta_cpt_bytes
-                  : skeleton_bytes + base_cpt_bytes + delta_cpt_bytes;
-  }
-  /// Full model bytes — what a private copy of this model would cost.
-  std::size_t total_bytes() const {
-    return skeleton_bytes + base_cpt_bytes + delta_cpt_bytes;
-  }
-};
-
-MemoryFootprint memory_footprint(const InteractionGraph& graph);
 
 /// Structural difference between two DIGs over the same device set.
 struct GraphDiff {

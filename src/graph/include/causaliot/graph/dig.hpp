@@ -5,34 +5,18 @@
 // Ca(S_i^t) with lags in [1, tau] plus a CPT over those causes. Edges are
 // always oriented lagged -> present (the cause precedes the effect).
 //
-// Storage comes in two modes:
-//
-//   * Private (the default, and all a miner ever builds): the graph owns
-//     one Cpt per device, causes included — exactly the original layout.
-//   * Template-shared (from_template): the structure lives in an
-//     immutable, content-hashed Skeleton and the CPT counts in an
-//     immutable shared base payload, both held by shared_ptr; the graph
-//     itself owns only a sparse copy-on-write delta. Reads consult the
-//     delta first and fall through to the base; the first mutable
-//     cpt(child) access copies that child's base table into the delta
-//     (update_cpts therefore personalizes a tenant without ever touching
-//     the shared base). N tenants instantiated from one template thus
-//     pay full model bytes once plus delta bytes each.
-//
-// Concurrency contract for the shared mode: the delta slot vector is
-// sized at construction, so concurrent copy-on-write faults on
-// *different* children are safe (estimate_cpts / update_cpts parallelize
-// per child); two threads mutating the same child's table race exactly
-// as they always would on a private graph. The skeleton and base are
-// never written through this class.
+// Each device owns one Cpt, which holds both its canonical cause list
+// and its counts; the graph is a plain value type. Fleet sharing happens
+// one level up: serve::TemplateRegistry publishes a trained graph inside
+// one immutable ModelSnapshot, and every tenant of that template holds a
+// shared_ptr to the same snapshot. Personalizing a tenant means copying
+// the graph, update_cpts on the copy, and swap_model to a new snapshot.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "causaliot/graph/cpt.hpp"
-#include "causaliot/graph/skeleton.hpp"
 #include "causaliot/telemetry/device.hpp"
 #include "causaliot/util/result.hpp"
 
@@ -51,36 +35,15 @@ class InteractionGraph {
   InteractionGraph() = default;
   InteractionGraph(std::size_t device_count, std::size_t max_lag);
 
-  InteractionGraph(const InteractionGraph& other);
-  InteractionGraph& operator=(const InteractionGraph& other);
-  InteractionGraph(InteractionGraph&&) = default;
-  InteractionGraph& operator=(InteractionGraph&&) = default;
-
-  /// Shared-mode construction: structure from `skeleton`, counts from
-  /// `base`, an empty copy-on-write delta. `base` must have one Cpt per
-  /// skeleton device whose causes match the skeleton's (the layout the
-  /// template publisher froze); CHECKed.
-  static InteractionGraph from_template(SkeletonRef skeleton,
-                                        CptPayloadRef base);
-
-  std::size_t device_count() const {
-    return skeleton_ != nullptr ? skeleton_->device_count() : dense_.size();
-  }
-  std::size_t max_lag() const {
-    return skeleton_ != nullptr ? skeleton_->max_lag() : max_lag_;
-  }
+  std::size_t device_count() const { return cpts_.size(); }
+  std::size_t max_lag() const { return max_lag_; }
 
   /// Installs the cause set (any order; canonicalized) for `child`,
-  /// resetting its CPT. All lags must be in [1, max_lag]. Private-mode
-  /// only: a template-shared graph's structure is frozen (CHECK) —
-  /// clone_private() first to restructure.
+  /// resetting its CPT. All lags must be in [1, max_lag].
   void set_causes(telemetry::DeviceId child, std::vector<LaggedNode> causes);
 
   const std::vector<LaggedNode>& causes(telemetry::DeviceId child) const;
   const Cpt& cpt(telemetry::DeviceId child) const;
-  /// Mutable table access — in shared mode, the copy-on-write point: the
-  /// child's base table is copied into this graph's private delta on
-  /// first access and returned from the delta ever after.
   Cpt& cpt(telemetry::DeviceId child);
 
   /// All edges, grouped by child.
@@ -101,48 +64,20 @@ class InteractionGraph {
   /// collective-anomaly chain tracking diagnostics.
   std::vector<telemetry::DeviceId> children(telemetry::DeviceId device) const;
 
-  // --- structure-sharing introspection ---
-
-  /// True when this graph shares a template's skeleton + base payload.
-  bool is_shared() const { return skeleton_ != nullptr; }
-  /// The shared structure / base payload; null for private graphs. The
-  /// pointer identities key the serving plane's dedup accounting.
-  const SkeletonRef& skeleton() const { return skeleton_; }
-  const CptPayloadRef& base() const { return base_; }
-  /// Children whose tables have been copy-on-write personalized.
-  std::size_t delta_count() const;
-  /// The delta's table for `child`, or nullptr while it still reads
-  /// through to the shared base (always nullptr for private graphs).
-  const Cpt* delta_cpt(telemetry::DeviceId child) const;
-
-  /// Freezes this graph's structure into an immutable Skeleton (shared
-  /// graphs return their existing ref — no copy).
-  SkeletonRef freeze_skeleton() const;
-  /// Materializes the effective per-child tables (base overlaid with any
-  /// delta) into an immutable payload — what a template publisher pairs
-  /// with freeze_skeleton().
-  CptPayloadRef freeze_cpts() const;
-  /// Deep copy into private mode (the sharing escape hatch).
-  InteractionGraph clone_private() const;
+  /// Estimated resident bytes: the sum of Cpt::approx_bytes over all
+  /// devices (the unit of the serve_model_* gauges).
+  std::size_t approx_bytes() const;
 
   /// Graphviz DOT rendering with device names from `catalog`.
   std::string to_dot(const telemetry::DeviceCatalog& catalog) const;
 
-  /// Plain-text serialization (stable across runs; a shared graph saves
-  /// its effective tables, so load() always yields a private graph).
+  /// Plain-text serialization (stable across runs).
   util::Status save(const std::string& path) const;
   static util::Result<InteractionGraph> load(const std::string& path);
 
  private:
-  // Private mode: max_lag_ + dense_ (one owning Cpt per device).
   std::size_t max_lag_ = 0;
-  std::vector<Cpt> dense_;
-  // Shared mode: immutable structure + base counts, sparse COW delta.
-  // delta_ is sized to device_count at construction; slots are written
-  // at most once (per child) by the copy-on-write fault.
-  SkeletonRef skeleton_;
-  CptPayloadRef base_;
-  std::vector<std::unique_ptr<Cpt>> delta_;
+  std::vector<Cpt> cpts_;
 };
 
 }  // namespace causaliot::graph

@@ -82,10 +82,6 @@ struct IngestConfig {
   /// lines are rejected as unknown-tenant). Keeps the pre-existing
   /// single-tenant stdin contract working unchanged.
   std::string default_tenant;
-  /// Template used by add_tenant verbs without a "template" field ("" =
-  /// fall back to the static `model` snapshot above). Requires the
-  /// service to be configured with a TemplateRegistry.
-  std::string default_template;
 };
 
 /// Thread-safe line router shared by all ingestion transports.
@@ -123,10 +119,9 @@ class IngestRouter {
   static std::optional<std::string> response_line(const LineResult& result);
 
   /// Control-verb implementations, shared with the HTTP tenant routes.
-  /// An empty `template_name` falls back to config.default_template,
-  /// then to the static config.model snapshot. On failure `reason`
-  /// (when non-null) receives the rejection token ("tenant-exists" or
-  /// "unknown-template").
+  /// An empty `template_name` uses the static config.model snapshot. On
+  /// failure `reason` (when non-null) receives the rejection token
+  /// ("tenant-exists" or "unknown-template").
   bool add_tenant(std::string_view name, std::string_view template_name = {},
                   const char** reason = nullptr);
   bool remove_tenant(std::string_view name);

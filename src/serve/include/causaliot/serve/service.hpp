@@ -95,12 +95,6 @@ struct ServiceConfig {
   /// disables template lookup (by-name adds fail); when given it must
   /// outlive the service.
   TemplateRegistry* templates = nullptr;
-  /// When true (default), template-instantiated tenants share the
-  /// template's skeleton and base CPT payload through copy-on-write
-  /// deltas; false deep-copies every instantiation — the escape hatch
-  /// behind `serve --share-templates 0`, and the baseline side of
-  /// bench_fleet_memory. Alarms are bit-identical either way.
-  bool share_templates = true;
 };
 
 /// Opaque tenant identifier returned by add_tenant.
@@ -148,8 +142,8 @@ class DetectionService {
                           std::shared_ptr<const ModelSnapshot> model,
                           std::vector<std::uint8_t> initial_state);
 
-  /// Registers a home from a named template in config.templates
-  /// (structure-shared under share_templates, deep-copied otherwise).
+  /// Registers a home on a named template's shared snapshot in
+  /// config.templates.
   /// An empty `initial_state` defaults to all-zeros of the template's
   /// device count. kInvalidTenant when no registry is configured, the
   /// template is unknown, or the snapshot overload would refuse.
@@ -233,13 +227,12 @@ class DetectionService {
   std::size_t queue_capacity() const { return config_.queue_capacity; }
 
   /// Fleet model-memory accounting (the serve_model_* gauges).
-  /// resident_bytes counts every distinct model component once —
-  /// skeletons, base CPT payloads, and per-snapshot deltas are keyed by
-  /// pointer identity, so N tenants of one template pay the skeleton and
-  /// base a single time. private_equivalent_bytes is what the same fleet
-  /// would cost with sharing off (every tenant's full footprint summed).
-  /// Both are publication-time estimates: a delta that grows later via
-  /// update_cpts is re-measured at its next swap_model.
+  /// resident_bytes counts every distinct snapshot once (keyed by
+  /// pointer identity), so N tenants of one template pay its bytes a
+  /// single time. private_equivalent_bytes is what the same fleet would
+  /// cost with one private model copy per tenant (every tenant's
+  /// snapshot bytes summed). Both are InteractionGraph::approx_bytes
+  /// estimates taken when the snapshot is attached.
   struct ModelStats {
     std::size_t resident_bytes = 0;
     std::size_t private_equivalent_bytes = 0;
@@ -357,10 +350,9 @@ class DetectionService {
   }
   void refresh_queue_gauges() const;
   void refresh_model_gauges() const;
-  /// Charges `tenant` for `model`'s footprint: shared components
-  /// (skeleton, base payload, the snapshot's own delta) are refcounted
-  /// by pointer identity so each distinct object bills resident bytes
-  /// exactly once. Caller holds directory_mutex_.
+  /// Charges `tenant` for `model`'s bytes: snapshots are refcounted by
+  /// pointer identity so each distinct one bills resident bytes exactly
+  /// once. Caller holds directory_mutex_.
   void account_model_locked(TenantHandle tenant,
                             const std::shared_ptr<const ModelSnapshot>& model);
   void unaccount_model_locked(TenantHandle tenant);
@@ -384,19 +376,16 @@ class DetectionService {
   ModelHealth health_;
   BlameLedger blame_;
   /// Model-memory accounting (guarded by directory_mutex_; totals are
-  /// atomics so scrapes read without the lock). Components are keyed by
-  /// object address — a skeleton shared by 10k tenants is one entry with
-  /// refs == 10000 and its bytes counted once.
+  /// atomics so scrapes read without the lock). Snapshots are keyed by
+  /// address — one shared by 10k tenants is one entry with refs == 10000
+  /// and its bytes counted once.
   struct ModelComponent {
     std::size_t bytes = 0;
     std::size_t refs = 0;
   };
-  struct ModelAccount {
-    std::vector<const void*> components;
-    std::size_t equiv_bytes = 0;
-  };
-  std::unordered_map<const void*, ModelComponent> model_components_;
-  std::unordered_map<TenantHandle, ModelAccount> model_accounts_;
+  std::unordered_map<const ModelSnapshot*, ModelComponent> model_components_;
+  /// tenant -> the snapshot it is billed for.
+  std::unordered_map<TenantHandle, const ModelSnapshot*> model_accounts_;
   std::atomic<std::size_t> model_resident_bytes_{0};
   std::atomic<std::size_t> model_equiv_bytes_{0};
   obs::Gauge* model_resident_gauge_ = nullptr;

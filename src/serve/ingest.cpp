@@ -174,13 +174,10 @@ IngestRouter::IngestRouter(DetectionService& service,
 bool IngestRouter::add_tenant(std::string_view name,
                               std::string_view template_name,
                               const char** reason) {
-  const std::string_view tpl =
-      template_name.empty() ? std::string_view(config_.default_template)
-                            : template_name;
   TenantHandle handle = DetectionService::kInvalidTenant;
   const char* why = "tenant-exists";
-  if (!tpl.empty()) {
-    handle = service_.add_tenant(std::string(name), tpl);
+  if (!template_name.empty()) {
+    handle = service_.add_tenant(std::string(name), template_name);
     if (handle == DetectionService::kInvalidTenant &&
         service_.find_tenant(name) == DetectionService::kInvalidTenant) {
       why = "unknown-template";

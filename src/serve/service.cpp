@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "causaliot/graph/analysis.hpp"
 #include "causaliot/obs/trace.hpp"
 #include "causaliot/util/check.hpp"
 #include "causaliot/util/strings.hpp"
@@ -45,7 +44,7 @@ DetectionService::DetectionService(ServiceConfig config, AlarmCallback on_alarm)
   model_resident_gauge_ = &registry_->gauge(
       "serve_model_resident_bytes", {},
       "Estimated bytes of model state actually resident (each shared "
-      "skeleton/base payload counted once)");
+      "snapshot counted once)");
   model_equiv_gauge_ = &registry_->gauge(
       "serve_model_private_equivalent_bytes", {},
       "Estimated bytes the same fleet would cost with one private model "
@@ -105,11 +104,10 @@ TenantHandle DetectionService::add_tenant(
   const std::shared_ptr<const ModelTemplate> tpl =
       config_.templates->find(template_name);
   if (tpl == nullptr) return kInvalidTenant;
+  std::shared_ptr<const ModelSnapshot> snapshot = instantiate(*tpl);
   if (initial_state.empty()) {
-    initial_state.assign(tpl->skeleton->device_count(), 0);
+    initial_state.assign(snapshot->graph.device_count(), 0);
   }
-  std::shared_ptr<const ModelSnapshot> snapshot =
-      config_.share_templates ? instantiate(*tpl) : instantiate_private(*tpl);
   return add_tenant(std::move(name), std::move(snapshot),
                     std::move(initial_state));
 }
@@ -416,50 +414,30 @@ void DetectionService::refresh_queue_gauges() const {
 
 void DetectionService::account_model_locked(
     TenantHandle tenant, const std::shared_ptr<const ModelSnapshot>& model) {
-  ModelAccount account;
-  if (model != nullptr) {
-    const graph::MemoryFootprint footprint =
-        graph::memory_footprint(model->graph);
-    account.equiv_bytes = footprint.total_bytes();
-    const auto add_component = [&](const void* key, std::size_t bytes) {
-      ModelComponent& component = model_components_[key];
-      if (component.refs++ == 0) {
-        component.bytes = bytes;
-        model_resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      }
-      account.components.push_back(key);
-    };
-    if (footprint.shared) {
-      add_component(model->graph.skeleton().get(), footprint.skeleton_bytes);
-      add_component(model->graph.base().get(), footprint.base_cpt_bytes);
-      // The delta is per-graph, but tenants handed the same snapshot
-      // shared_ptr (the CLI boot path) literally share one graph object —
-      // keying the unique part by snapshot address bills it once too.
-      add_component(model.get(), footprint.delta_cpt_bytes);
-    } else {
-      add_component(model.get(), footprint.total_bytes());
-    }
-    model_equiv_bytes_.fetch_add(account.equiv_bytes,
-                                 std::memory_order_relaxed);
+  if (model == nullptr) return;
+  ModelComponent& component = model_components_[model.get()];
+  if (component.refs++ == 0) {
+    component.bytes = model->graph.approx_bytes();
+    model_resident_bytes_.fetch_add(component.bytes,
+                                    std::memory_order_relaxed);
   }
-  model_accounts_[tenant] = std::move(account);
+  model_equiv_bytes_.fetch_add(component.bytes, std::memory_order_relaxed);
+  model_accounts_[tenant] = model.get();
 }
 
 void DetectionService::unaccount_model_locked(TenantHandle tenant) {
   const auto it = model_accounts_.find(tenant);
   if (it == model_accounts_.end()) return;
-  for (const void* key : it->second.components) {
-    const auto found = model_components_.find(key);
-    if (found == model_components_.end()) continue;
-    if (--found->second.refs == 0) {
-      model_resident_bytes_.fetch_sub(found->second.bytes,
-                                      std::memory_order_relaxed);
-      model_components_.erase(found);
-    }
-  }
-  model_equiv_bytes_.fetch_sub(it->second.equiv_bytes,
-                               std::memory_order_relaxed);
+  const auto found = model_components_.find(it->second);
   model_accounts_.erase(it);
+  if (found == model_components_.end()) return;
+  model_equiv_bytes_.fetch_sub(found->second.bytes,
+                               std::memory_order_relaxed);
+  if (--found->second.refs == 0) {
+    model_resident_bytes_.fetch_sub(found->second.bytes,
+                                    std::memory_order_relaxed);
+    model_components_.erase(found);
+  }
 }
 
 void DetectionService::refresh_model_gauges() const {
@@ -559,11 +537,9 @@ std::string DetectionService::status_json(std::size_t tenant_offset,
   const ModelStats models = model_stats();
   out += util::format(
       ", \"models\": {\"templates\": %zu, \"resident_bytes\": %zu, "
-      "\"private_equivalent_bytes\": %zu, \"dedup_ratio\": %.3f, "
-      "\"share_templates\": %s}",
+      "\"private_equivalent_bytes\": %zu, \"dedup_ratio\": %.3f}",
       models.templates, models.resident_bytes,
-      models.private_equivalent_bytes, models.dedup_ratio,
-      config_.share_templates ? "true" : "false");
+      models.private_equivalent_bytes, models.dedup_ratio);
   std::size_t live_total = 0;
   out += ", \"tenants\": " +
          health_.tenants_json(tenant_offset, tenant_limit, &live_total);

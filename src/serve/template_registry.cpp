@@ -1,72 +1,26 @@
 #include "causaliot/serve/template_registry.hpp"
 
-#include <algorithm>
-
-#include "causaliot/util/check.hpp"
-
 namespace causaliot::serve {
 
-std::size_t ModelTemplate::approx_bytes() const {
-  std::size_t bytes = skeleton != nullptr ? skeleton->approx_bytes() : 0;
-  if (base_cpts != nullptr) {
-    for (const graph::Cpt& cpt : *base_cpts) bytes += cpt.approx_bytes();
-  }
-  return bytes;
-}
-
 std::shared_ptr<const ModelSnapshot> instantiate(const ModelTemplate& tpl) {
-  return make_snapshot(
-      graph::InteractionGraph::from_template(tpl.skeleton, tpl.base_cpts),
-      tpl.score_threshold, tpl.laplace_alpha, tpl.version);
-}
-
-std::shared_ptr<const ModelSnapshot> instantiate_private(
-    const ModelTemplate& tpl) {
-  return make_snapshot(
-      graph::InteractionGraph::from_template(tpl.skeleton, tpl.base_cpts)
-          .clone_private(),
-      tpl.score_threshold, tpl.laplace_alpha, tpl.version);
+  return tpl.snapshot;
 }
 
 std::shared_ptr<const ModelTemplate> TemplateRegistry::publish(
     std::string name, const graph::InteractionGraph& graph,
     double score_threshold, double laplace_alpha, std::uint64_t version) {
+  // Copy the graph outside the lock: publication-path work that must
+  // not serialize against find() from ingest transports.
   auto tpl = std::make_shared<ModelTemplate>();
   tpl->name = name;
-  // Freeze outside the lock: skeleton construction hashes the structure
-  // and freeze_cpts copies every table — publication-path work that must
-  // not serialize against find() from ingest transports.
-  graph::SkeletonRef skeleton = graph.freeze_skeleton();
-  tpl->base_cpts = graph.freeze_cpts();
-  tpl->score_threshold = score_threshold;
-  tpl->laplace_alpha = laplace_alpha;
-  tpl->version = version;
+  tpl->snapshot =
+      make_snapshot(graph, score_threshold, laplace_alpha, version);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (by_name_.count(name) != 0) return nullptr;
-  tpl->skeleton = intern_locked(std::move(skeleton));
   std::shared_ptr<const ModelTemplate> published = std::move(tpl);
   by_name_.emplace(std::move(name), published);
   return published;
-}
-
-graph::SkeletonRef TemplateRegistry::intern_locked(
-    graph::SkeletonRef skeleton) {
-  CAUSALIOT_CHECK(skeleton != nullptr);
-  auto& bucket = interned_[skeleton->content_hash()];
-  // Sweep expired entries while scanning: the pool is weak, so a
-  // skeleton whose last template and tenant are gone must not pin a
-  // stale slot forever.
-  for (auto it = bucket.begin(); it != bucket.end();) {
-    if (graph::SkeletonRef existing = it->lock()) {
-      if (*existing == *skeleton) return existing;
-      ++it;
-    } else {
-      it = bucket.erase(it);
-    }
-  }
-  bucket.push_back(skeleton);
-  return skeleton;
 }
 
 std::shared_ptr<const ModelTemplate> TemplateRegistry::find(
@@ -84,41 +38,6 @@ bool TemplateRegistry::evict(std::string_view name) {
 std::size_t TemplateRegistry::template_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return by_name_.size();
-}
-
-std::size_t TemplateRegistry::skeleton_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t live = 0;
-  for (auto& [hash, bucket] : interned_) {
-    bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
-                                [](const auto& weak) {
-                                  return weak.expired();
-                                }),
-                 bucket.end());
-    live += bucket.size();
-  }
-  return live;
-}
-
-std::size_t TemplateRegistry::shared_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t bytes = 0;
-  std::vector<const graph::Skeleton*> counted;
-  for (const auto& [name, tpl] : by_name_) {
-    bytes += tpl->base_cpts != nullptr
-                 ? tpl->approx_bytes() -
-                       (tpl->skeleton != nullptr ? tpl->skeleton->approx_bytes()
-                                                 : 0)
-                 : 0;
-    const graph::Skeleton* skeleton = tpl->skeleton.get();
-    if (skeleton != nullptr &&
-        std::find(counted.begin(), counted.end(), skeleton) ==
-            counted.end()) {
-      counted.push_back(skeleton);
-      bytes += skeleton->approx_bytes();
-    }
-  }
-  return bytes;
 }
 
 }  // namespace causaliot::serve

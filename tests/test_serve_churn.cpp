@@ -195,8 +195,8 @@ TEST_F(ChurnTest, SurvivorsUnperturbedAndNothingLost) {
 
   // --- Churn run: same survivors + socket-driven tenant churn. The
   // ephemerals instantiate from a registered template, so the 25 cycles
-  // also exercise skeleton interning and copy-on-write sharing under
-  // live add/remove (the weak intern pool must drain on eviction). ---
+  // also exercise one shared snapshot under live add/remove (it must
+  // free once the template is evicted and its last tenant is gone). ---
   AlarmLog churn_log;
   TemplateRegistry registry;
   auto fleet = registry.publish(
@@ -301,16 +301,17 @@ TEST_F(ChurnTest, SurvivorsUnperturbedAndNothingLost) {
   // Template plumbing reconciles too: every ephemeral's shared model
   // bytes were released with its removal, leaving only the survivors'
   // private snapshots (resident == equivalent again), and evicting the
-  // template drains the weak skeleton intern pool once the last
-  // reference drops.
+  // template frees its snapshot once the last reference drops.
   EXPECT_EQ(registry.template_count(), 1u);
-  EXPECT_EQ(registry.skeleton_count(), 1u);
   const DetectionService::ModelStats models = service.model_stats();
   EXPECT_EQ(models.resident_bytes, models.private_equivalent_bytes);
   EXPECT_GT(models.resident_bytes, 0u);
+  const std::weak_ptr<const ModelSnapshot> fleet_snapshot =
+      instantiate(*fleet);
   EXPECT_TRUE(registry.evict("fleet"));
+  EXPECT_FALSE(fleet_snapshot.expired());  // `fleet` still pins it
   fleet.reset();
-  EXPECT_EQ(registry.skeleton_count(), 0u);
+  EXPECT_TRUE(fleet_snapshot.expired());
 }
 
 TEST_F(ChurnTest, RemovedTenantFlushesItsPendingWindow) {

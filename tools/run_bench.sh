@@ -126,10 +126,11 @@ ingestion_json="$(mktemp)"
   --benchmark_out="$ingestion_json" \
   --benchmark_out_format=json
 
-# Fleet-scale model dedup (shared skeleton + COW deltas vs private
-# copies): the residency and throughput numbers ride in the serving JSON
-# as a top-level "fleet" section with a summary the perf trajectory can
-# assert on (dedup_ratio >= 5, throughput parity, exact accounting).
+# Fleet-scale model dedup (every tenant on one template snapshot vs a
+# private copy per tenant): the residency and throughput numbers ride in
+# the serving JSON as a top-level "fleet" section with a summary the perf
+# trajectory can assert on (dedup_ratio == fleet size, throughput
+# parity, exact accounting).
 fleet_json="$(mktemp)"
 "$fleet_bin" \
   --benchmark_out="$fleet_json" \
