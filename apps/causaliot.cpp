@@ -59,8 +59,9 @@ using namespace causaliot;
 void usage();
 
 // What a flag's value must parse as. No numeric flag takes a negative
-// (or NaN) value; kCount is an integer.
-enum class FlagType { kText, kCount, kReal };
+// or non-finite value; kCount is an integer, kProbability a real in
+// (0, 1) and kPercent a real in [0, 100].
+enum class FlagType { kText, kCount, kReal, kProbability, kPercent };
 
 struct FlagSpec {
   const char* name;
@@ -78,8 +79,8 @@ const std::map<std::string, std::vector<FlagSpec>>& command_flags() {
         {"seed", kCount}, {"format", kText}}},
       {"train",
        {{"trace", kText}, {"out", kText}, {"profile", kText},
-        {"format", kText}, {"tau", kCount}, {"alpha", kReal},
-        {"q", kReal}, {"laplace", kReal}, {"guard", kReal},
+        {"format", kText}, {"tau", kCount}, {"alpha", kProbability},
+        {"q", kPercent}, {"laplace", kReal}, {"guard", kReal},
         {"threads", kCount}, {"ci-batch", kCount},
         {"trace-out", kText}, {"prom-out", kText}, {"verbose", kCount},
         {"listen", kCount}}},
@@ -116,9 +117,20 @@ std::string flag_value_error(FlagType type, const std::string& value) {
       if (!parsed.ok()) return parsed.error().to_string();
       return *parsed < 0 ? "expected a non-negative integer" : "";
     }
-    case FlagType::kReal: {
+    case FlagType::kReal:
+    case FlagType::kProbability:
+    case FlagType::kPercent: {
       const auto parsed = util::parse_double(value);
       if (!parsed.ok()) return parsed.error().to_string();
+      if (type == FlagType::kProbability) {
+        return *parsed > 0.0 && *parsed < 1.0 ? ""
+                                              : "expected a number in (0, 1)";
+      }
+      if (type == FlagType::kPercent) {
+        return *parsed >= 0.0 && *parsed <= 100.0
+                   ? ""
+                   : "expected a number in [0, 100]";
+      }
       return *parsed >= 0.0 ? "" : "expected a non-negative number";
     }
   }

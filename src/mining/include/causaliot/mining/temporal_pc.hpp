@@ -49,10 +49,12 @@ struct MinerConfig {
   /// column-intersection counts across the conditioning subsets of a
   /// level and assembles stratum tables by exact-integer lattice
   /// marginalization, so statistics, p-values, and the final DIG are
-  /// bit-identical to the per-subset kernels. Applies at levels the
-  /// packed kernel covers (l <= stats::kPackedConditioningLimit); deeper
-  /// levels fall back to the per-row kernel either way. Off = always use
-  /// the per-subset kernels (--ci-batch=0 escape hatch).
+  /// bit-identical to the per-subset kernels. Serves every level up to
+  /// stats::kBatchConditioningLimit (on the 28-day paper-scale trace,
+  /// every level the miner reaches); deeper levels use the per-row
+  /// kernel. Off = always use the per-subset kernels: packed up to
+  /// stats::kPackedConditioningLimit, per-row above (the --ci-batch 0
+  /// escape hatch and the test oracle).
   bool ci_batching = true;
   /// Worker threads for mine(): children are discovered in parallel (each
   /// child's Algorithm 1 run is independent, so the result is identical to

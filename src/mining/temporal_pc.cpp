@@ -191,9 +191,11 @@ std::vector<graph::LaggedNode> discover_causes_cached(
     if (l > config.max_condition_size) break;
     // The packed kernel's per-word cost is O(2^l); beyond the crossover it
     // loses to the per-row kernel, so fall back to raw spans. The batched
-    // kernel shares the packed kernel's depth cutoff.
+    // lattice costs O(2^l) memo lookups per test and has its own, deeper
+    // cutoff; past it the per-row kernel serves the level.
     const bool use_packed = l <= stats::kPackedConditioningLimit;
-    const bool use_batched = batch.has_value() && use_packed;
+    const bool use_batched =
+        batch.has_value() && l <= stats::kBatchConditioningLimit;
 
     // One span per (child, level): the unit the trace groups mining time
     // by. Constructed only when tracing is on so the serial hot loop never

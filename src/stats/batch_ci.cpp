@@ -25,8 +25,8 @@ BatchCiContext::BatchCiContext(std::span<const PackedColumn> universe,
   }
   singles_.resize(universe_.size());
   pairs_.resize(universe_.size());
-  const std::uint64_t* y_words = universe_[y_].padded_words().data();
-  p_y_ = simd::kernels().and_popcount(y_words, y_words, padded_words_);
+  prefix_ = AlignedWords(padded_words_);
+  p_y_ = simd::kernels().and_popcount(words(y_), words(y_), padded_words_);
   passes_ = 1;
 }
 
@@ -47,90 +47,58 @@ BatchCiContext::Entry& BatchCiContext::locate(std::span<const ColumnId> ids) {
   return higher_[key_];
 }
 
-void BatchCiContext::fill_single(ColumnId id, Entry& entry) {
-  const std::uint64_t* words = universe_[id].padded_words().data();
-  const std::uint64_t* y_words = universe_[y_].padded_words().data();
-  const std::uint64_t* cols[1] = {words};
-  simd::kernels().marginal_pass(cols, 1, y_words, padded_words_, &entry.p,
-                                &entry.p_y);
-  entry.state = 1;
-  ++passes_;
-}
-
-void BatchCiContext::fill_from_mask(std::span<const std::uint64_t> prefix_mask,
-                                    const std::uint64_t* last_words,
-                                    Entry& entry, bool store_mask) {
-  const std::uint64_t* y_words = universe_[y_].padded_words().data();
-  if (store_mask && entry.mask.size() != padded_words_) {
-    entry.mask = AlignedWords(padded_words_);
-  }
-  simd::kernels().masked_pass(prefix_mask.data(), last_words, y_words,
-                              store_mask ? entry.mask.data() : nullptr,
-                              padded_words_, &entry.p, &entry.p_y);
-  entry.state = store_mask ? 2 : 1;
-  ++passes_;
-}
-
+// Counts P(S) and P(S ∪ {y}) for the sorted, non-empty id set S on first
+// use. Memo references stay valid across inserts (node-based map, fixed
+// singles_ vector, heap-allocated pair rows).
 const BatchCiContext::Entry& BatchCiContext::ensure_counts(
     std::span<const ColumnId> ids) {
+  Entry& entry = locate(ids);
+  if (entry.ready) return entry;
+  const simd::Kernels& kernels = simd::kernels();
+  const std::uint64_t* y_words = words(y_);
   if (ids.size() == 1) {
-    Entry& entry = singles_[ids[0]];
-    if (entry.state == 0) fill_single(ids[0], entry);
-    return entry;
+    const std::uint64_t* cols[1] = {words(ids[0])};
+    kernels.marginal_pass(cols, 1, y_words, padded_words_, &entry.p,
+                          &entry.p_y);
+  } else {
+    // AND every column but the last into the scratch prefix (in place),
+    // then count the last column's pass against it.
+    const std::uint64_t* prefix = words(ids[0]);
+    for (std::size_t i = 1; i + 1 < ids.size(); ++i) {
+      std::uint64_t unused_p = 0;
+      std::uint64_t unused_p_y = 0;
+      kernels.masked_pass(prefix, words(ids[i]), y_words, prefix_.data(),
+                          padded_words_, &unused_p, &unused_p_y);
+      prefix = prefix_.data();
+      ++passes_;
+    }
+    kernels.masked_pass(prefix, words(ids.back()), y_words, nullptr,
+                        padded_words_, &entry.p, &entry.p_y);
   }
-  // Build the prefix mask before locating the target: ensure_mask may
-  // insert into the containers locate reads from.
-  std::span<const std::uint64_t> prefix_mask;
-  {
-    Entry& entry = locate(ids);
-    if (entry.state != 0) return entry;
-  }
-  prefix_mask = ensure_mask(ids.first(ids.size() - 1));
-  Entry& entry = locate(ids);
-  fill_from_mask(prefix_mask, universe_[ids.back()].padded_words().data(),
-                 entry,
-                 /*store_mask=*/false);
+  entry.ready = true;
+  ++passes_;
   return entry;
-}
-
-std::span<const std::uint64_t> BatchCiContext::ensure_mask(
-    std::span<const ColumnId> ids) {
-  if (ids.size() == 1) return universe_[ids[0]].padded_words();
-  {
-    Entry& entry = locate(ids);
-    if (entry.state == 2) return {entry.mask.data(), entry.mask.size()};
-  }
-  const std::span<const std::uint64_t> prefix_mask =
-      ensure_mask(ids.first(ids.size() - 1));
-  Entry& entry = locate(ids);
-  fill_from_mask(prefix_mask, universe_[ids.back()].padded_words().data(),
-                 entry,
-                 /*store_mask=*/true);
-  return {entry.mask.data(), entry.mask.size()};
 }
 
 void BatchCiContext::prepare_marginals(std::span<const ColumnId> xs) {
   pending_.clear();
   for (const ColumnId x : xs) {
     CAUSALIOT_CHECK_MSG(x < universe_.size(), "column id out of range");
-    if (singles_[x].state == 0) pending_.push_back(x);
+    if (!singles_[x].ready) pending_.push_back(x);
   }
-  const std::uint64_t* y_words = universe_[y_].padded_words().data();
   constexpr std::size_t kBatch = simd::kMarginalPassMaxColumns;
   for (std::size_t base = 0; base < pending_.size(); base += kBatch) {
     const std::size_t k = std::min(kBatch, pending_.size() - base);
     const std::uint64_t* cols[kBatch] = {};
     std::uint64_t p[kBatch] = {};
     std::uint64_t p_y[kBatch] = {};
-    for (std::size_t i = 0; i < k; ++i) {
-      cols[i] = universe_[pending_[base + i]].padded_words().data();
-    }
-    simd::kernels().marginal_pass(cols, k, y_words, padded_words_, p, p_y);
+    for (std::size_t i = 0; i < k; ++i) cols[i] = words(pending_[base + i]);
+    simd::kernels().marginal_pass(cols, k, words(y_), padded_words_, p, p_y);
     for (std::size_t i = 0; i < k; ++i) {
       Entry& entry = singles_[pending_[base + i]];
       entry.p = p[i];
       entry.p_y = p_y[i];
-      entry.state = 1;
+      entry.ready = true;
     }
     ++passes_;
   }
@@ -139,12 +107,22 @@ void BatchCiContext::prepare_marginals(std::span<const ColumnId> xs) {
 std::span<const std::uint64_t> BatchCiContext::count_strata(
     ColumnId x, std::span<const ColumnId> z) {
   const std::size_t l = z.size();
-  CAUSALIOT_CHECK_MSG(l <= kPackedConditioningLimit,
+  CAUSALIOT_CHECK_MSG(l <= kBatchConditioningLimit,
                       "conditioning set too large for the batched kernel");
   CAUSALIOT_CHECK_MSG(x < universe_.size(), "column id out of range");
   for (const ColumnId id : z) {
     CAUSALIOT_CHECK_MSG(id < universe_.size(), "column id out of range");
     CAUSALIOT_CHECK_MSG(id != x, "conditioning set contains x");
+  }
+  // Positions of z in ascending id order: walking them keeps every
+  // lattice term's id list sorted (the memo key) without a per-term sort.
+  order_.resize(l);
+  for (std::uint32_t j = 0; j < l; ++j) order_[j] = j;
+  std::sort(order_.begin(), order_.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return z[a] < z[b]; });
+  for (std::size_t k = 1; k < l; ++k) {
+    CAUSALIOT_CHECK_MSG(z[order_[k - 1]] != z[order_[k]],
+                        "duplicate conditioning column");
   }
 
   const std::size_t stratum_count = std::size_t{1} << l;
@@ -168,15 +146,18 @@ std::span<const std::uint64_t> BatchCiContext::count_strata(
       p_txy = ex.p_y;
     } else {
       t_ids_.clear();
-      for (std::size_t j = 0; j < l; ++j) {
-        if ((t >> j & 1U) != 0) t_ids_.push_back(z[j]);
+      u_ids_.clear();
+      bool x_placed = false;
+      for (const std::uint32_t j : order_) {
+        if ((t >> j & 1U) == 0) continue;
+        if (!x_placed && x < z[j]) {
+          u_ids_.push_back(x);
+          x_placed = true;
+        }
+        t_ids_.push_back(z[j]);
+        u_ids_.push_back(z[j]);
       }
-      std::sort(t_ids_.begin(), t_ids_.end());
-      CAUSALIOT_CHECK_MSG(
-          std::adjacent_find(t_ids_.begin(), t_ids_.end()) == t_ids_.end(),
-          "duplicate conditioning column");
-      u_ids_.assign(t_ids_.begin(), t_ids_.end());
-      u_ids_.insert(std::upper_bound(u_ids_.begin(), u_ids_.end(), x), x);
+      if (!x_placed) u_ids_.push_back(x);
       const Entry& et = ensure_counts(t_ids_);
       const Entry& eu = ensure_counts(u_ids_);
       p_t = et.p;

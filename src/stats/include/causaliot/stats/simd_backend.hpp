@@ -9,10 +9,12 @@
 //                               P(col) and P(col & y) for up to
 //                               kMarginalPassMaxColumns parents while the
 //                               y loads are shared,
-//   * masked_pass             — the BatchCiContext top-set pass: AND a
+//   * masked_pass             — the BatchCiContext counting pass: AND a
 //                               prefix mask with one more column,
-//                               optionally store the result, and count
-//                               P(mask) / P(mask & y) in the same sweep.
+//                               optionally store the result (in place
+//                               while a new set's prefix is rebuilt), and
+//                               count P(mask) / P(mask & y) in the same
+//                               sweep.
 //
 // This header is the stable facade over their per-ISA implementations
 // (the HinaCloth sim::query_chosen pattern): the widest backend the CPU
@@ -103,7 +105,8 @@ struct Kernels {
                         const std::uint64_t* y, std::size_t words,
                         std::uint64_t* p, std::uint64_t* p_y);
   /// m[w] = prefix[w] & last[w] per word; stores m into `mask_out` when it
-  /// is non-null; accumulates *p = popcount(m), *p_y = popcount(m & y).
+  /// is non-null (it may alias `prefix`: ANDing in place is allowed);
+  /// accumulates *p = popcount(m), *p_y = popcount(m & y).
   void (*masked_pass)(const std::uint64_t* prefix, const std::uint64_t* last,
                       const std::uint64_t* y, std::uint64_t* mask_out,
                       std::size_t words, std::uint64_t* p, std::uint64_t* p_y);

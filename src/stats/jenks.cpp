@@ -1,45 +1,31 @@
 #include "causaliot/stats/jenks.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <map>
+#include <vector>
 
 namespace causaliot::stats {
 
-namespace {
-
-struct WeightedValues {
-  std::vector<double> value;   // sorted distinct values
-  std::vector<double> weight;  // occurrence counts
-};
-
-WeightedValues compress(std::span<const double> values) {
-  std::map<double, double> counts;
-  for (double v : values) counts[v] += 1.0;
-  WeightedValues out;
-  out.value.reserve(counts.size());
-  out.weight.reserve(counts.size());
-  for (const auto& [v, w] : counts) {
-    out.value.push_back(v);
-    out.weight.push_back(w);
-  }
-  return out;
-}
-
-}  // namespace
-
-util::Result<JenksBreaks> jenks_natural_breaks(std::span<const double> values,
-                                               std::size_t class_count) {
-  if (class_count < 2) {
-    return util::Error::invalid_argument("class_count must be >= 2");
-  }
+util::Result<double> jenks_binary_threshold(std::span<const double> values) {
   if (values.empty()) {
     return util::Error::invalid_argument("empty value set");
   }
-  const WeightedValues wv = compress(values);
-  const std::size_t m = wv.value.size();
-  if (m < class_count) {
+  // Sorted distinct values weighted by their occurrence counts. The sort
+  // is stable so equal-comparing values (-0.0 / 0.0) keep the first one
+  // seen as their representative.
+  std::vector<double> sorted(values.begin(), values.end());
+  std::stable_sort(sorted.begin(), sorted.end());
+  std::vector<double> value;
+  std::vector<double> weight;
+  for (const double v : sorted) {
+    if (value.empty() || value.back() < v) {
+      value.push_back(v);
+      weight.push_back(0.0);
+    }
+    weight.back() += 1.0;
+  }
+  const std::size_t m = value.size();
+  if (m < 2) {
     return util::Error::failed_precondition(
         "fewer distinct values than classes");
   }
@@ -47,9 +33,9 @@ util::Result<JenksBreaks> jenks_natural_breaks(std::span<const double> values,
   // Prefix sums for O(1) within-class sum of squared errors.
   std::vector<double> pw(m + 1, 0.0), pwv(m + 1, 0.0), pwv2(m + 1, 0.0);
   for (std::size_t i = 0; i < m; ++i) {
-    pw[i + 1] = pw[i] + wv.weight[i];
-    pwv[i + 1] = pwv[i] + wv.weight[i] * wv.value[i];
-    pwv2[i + 1] = pwv2[i] + wv.weight[i] * wv.value[i] * wv.value[i];
+    pw[i + 1] = pw[i] + weight[i];
+    pwv[i + 1] = pwv[i] + weight[i] * value[i];
+    pwv2[i + 1] = pwv2[i] + weight[i] * value[i] * value[i];
   }
   // SSE of the class covering distinct indices [i, j] inclusive.
   const auto sse = [&](std::size_t i, std::size_t j) {
@@ -59,44 +45,18 @@ util::Result<JenksBreaks> jenks_natural_breaks(std::span<const double> values,
     return s2 - s * s / w;
   };
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // cost[c][j]: minimal SSE splitting prefix [0..j] into c+1 classes.
-  std::vector<std::vector<double>> cost(class_count,
-                                        std::vector<double>(m, kInf));
-  std::vector<std::vector<std::size_t>> cut(class_count,
-                                            std::vector<std::size_t>(m, 0));
-  for (std::size_t j = 0; j < m; ++j) cost[0][j] = sse(0, j);
-  for (std::size_t c = 1; c < class_count; ++c) {
-    for (std::size_t j = c; j < m; ++j) {
-      for (std::size_t i = c; i <= j; ++i) {
-        const double candidate = cost[c - 1][i - 1] + sse(i, j);
-        if (candidate < cost[c][j]) {
-          cost[c][j] = candidate;
-          cut[c][j] = i;  // class c starts at distinct index i
-        }
-      }
+  // The high class starts at distinct index `cut`; the strict < keeps the
+  // first minimum, so ties go to the smallest cut.
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t cut = 1;
+  for (std::size_t i = 1; i < m; ++i) {
+    const double candidate = sse(0, i - 1) + sse(i, m - 1);
+    if (candidate < best) {
+      best = candidate;
+      cut = i;
     }
   }
-
-  JenksBreaks result;
-  result.breaks.resize(class_count - 1);
-  std::size_t j = m - 1;
-  for (std::size_t c = class_count - 1; c >= 1; --c) {
-    const std::size_t start = cut[c][j];
-    result.breaks[c - 1] = wv.value[start - 1];  // last value of class c-1
-    j = start - 1;
-  }
-
-  const double total_sse = sse(0, m - 1);
-  result.goodness_of_fit =
-      total_sse > 0.0 ? 1.0 - cost[class_count - 1][m - 1] / total_sse : 1.0;
-  return result;
-}
-
-util::Result<double> jenks_binary_threshold(std::span<const double> values) {
-  auto breaks = jenks_natural_breaks(values, 2);
-  if (!breaks.ok()) return breaks.error();
-  return breaks.value().breaks[0];
+  return value[cut - 1];
 }
 
 }  // namespace causaliot::stats

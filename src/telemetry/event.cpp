@@ -54,11 +54,15 @@ util::Result<EventLog> EventLog::load_csv(const std::string& path,
       return util::Error::parse_error("expected 3 fields per event row");
     }
     auto ts = util::parse_double(row[0]);
-    if (!ts.ok()) return ts.error();
+    if (!ts.ok()) {
+      return util::Error::parse_error("timestamp: " + ts.error().message);
+    }
     auto device = log.catalog().find(row[1]);
     if (!device.ok()) return device.error();
     auto value = util::parse_double(row[2]);
-    if (!value.ok()) return value.error();
+    if (!value.ok()) {
+      return util::Error::parse_error("value: " + value.error().message);
+    }
     log.append({ts.value(), device.value(), value.value()});
   }
   return log;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -54,6 +55,11 @@ Result<double> parse_double(std::string_view text) {
       std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), value);
   if (ec != std::errc{} || ptr != trimmed.data() + trimmed.size()) {
     return Error::parse_error("invalid double: '" + std::string(trimmed) +
+                              "'");
+  }
+  // from_chars accepts "nan" and "inf"; no caller can use either.
+  if (!std::isfinite(value)) {
+    return Error::parse_error("non-finite double: '" + std::string(trimmed) +
                               "'");
   }
   return value;

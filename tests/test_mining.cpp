@@ -6,6 +6,8 @@
 #include <string>
 
 #include "causaliot/mining/cause_set.hpp"
+#include "causaliot/preprocess/preprocessor.hpp"
+#include "causaliot/sim/simulator.hpp"
 #include "causaliot/stats/simd_backend.hpp"
 #include "causaliot/util/rng.hpp"
 
@@ -298,6 +300,41 @@ TEST(TemporalPC, CiBatchingOffDispatchesToPackedKernel) {
                 .value(),
             0u);
   EXPECT_EQ(registry.counter("mining_ci_batch_passes_total").value(), 0u);
+}
+
+// The kernel dispatch on a deep mine: the paper-scale trace (contextact,
+// 28 simulated days, seed 2023) under the train settings (auto-selected
+// lag, guard 10) reaches conditioning level 10, and the batched lattice
+// must serve every level of it — no test falls back to the per-row kernel.
+TEST(TemporalPC, DeepMineDispatchesEveryLevelToTheLattice) {
+  sim::HomeProfile profile = sim::contextact_profile();
+  profile.days = 28;
+  sim::SmartHomeSimulator simulator(profile, 2023);
+  const preprocess::PreprocessResult pre =
+      preprocess::Preprocessor().run(simulator.run().log);
+  obs::Registry registry;
+  MinerConfig config;
+  config.max_lag = pre.lag;
+  config.min_samples_per_dof = 10.0;
+  config.threads = 4;
+  config.metrics_registry = &registry;
+  MiningDiagnostics diagnostics;
+  InteractionMiner(config).mine(pre.series, &diagnostics);
+  ASSERT_GT(diagnostics.tests_run, 0u);
+  EXPECT_GT(
+      registry.counter("mining_ci_tests_total", {{"level", "10"}}).value(),
+      0u);
+  const std::string backend(
+      stats::simd::backend_name(stats::simd::chosen()));
+  const auto hits = [&](const char* kernel) {
+    return registry
+        .counter("mining_ci_kernel_hits_total",
+                 {{"kernel", kernel}, {"backend", backend}})
+        .value();
+  };
+  EXPECT_EQ(hits("batched"), diagnostics.tests_run);
+  EXPECT_EQ(hits("byte"), 0u);
+  EXPECT_EQ(hits("packed"), 0u);
 }
 
 TEST(CauseSet, StartsFullInCanonicalOrder) {

@@ -9,6 +9,8 @@
 
 #include "causaliot/detect/monitor.hpp"
 #include "causaliot/mining/temporal_pc.hpp"
+#include "causaliot/preprocess/preprocessor.hpp"
+#include "causaliot/sim/simulator.hpp"
 #include "causaliot/stats/cmh.hpp"
 #include "causaliot/stats/simd_backend.hpp"
 #include "causaliot/util/rng.hpp"
@@ -253,17 +255,16 @@ TEST(PackedKernel, MatchesByteKernelAcrossConditioningSizes) {
 class CiBatchingEquivalence
     : public ::testing::TestWithParam<std::tuple<bool, CiTest>> {};
 
-TEST_P(CiBatchingEquivalence, BatchedMiningMatchesPerSubset) {
-  const auto [stable, ci_test] = GetParam();
-  const StateSeries series = busy_series(12, 3000, 2024);
+std::uint64_t tests_at_level(obs::Registry& registry, std::size_t level) {
+  return registry
+      .counter("mining_ci_tests_total", {{"level", std::to_string(level)}})
+      .value();
+}
 
-  MinerConfig config;
-  config.max_lag = 2;
-  config.alpha = 0.001;
-  config.stable = stable;
-  config.ci_test = ci_test;
-
-  obs::Registry batched_registry;
+// Mines `series` with batching on (metrics into `batched_registry`) and
+// off, and expects identical models, diagnostics and per-level totals.
+void expect_batching_invisible(const StateSeries& series, MinerConfig config,
+                               obs::Registry& batched_registry) {
   config.ci_batching = true;
   config.metrics_registry = &batched_registry;
   MiningDiagnostics batched_diag;
@@ -282,16 +283,59 @@ TEST_P(CiBatchingEquivalence, BatchedMiningMatchesPerSubset) {
   // Early-exit semantics carry over: the batched run consumed exactly the
   // same number of tests at every conditioning level.
   for (std::size_t l = 0; l <= config.max_lag * series.device_count(); ++l) {
-    EXPECT_EQ(batched_registry
-                  .counter("mining_ci_tests_total",
-                           {{"level", std::to_string(l)}})
-                  .value(),
-              direct_registry
-                  .counter("mining_ci_tests_total",
-                           {{"level", std::to_string(l)}})
-                  .value())
+    EXPECT_EQ(tests_at_level(batched_registry, l),
+              tests_at_level(direct_registry, l))
         << "level " << l;
   }
+}
+
+TEST_P(CiBatchingEquivalence, BatchedMiningMatchesPerSubset) {
+  const auto [stable, ci_test] = GetParam();
+  MinerConfig config;
+  config.max_lag = 2;
+  config.alpha = 0.001;
+  config.stable = stable;
+  config.ci_test = ci_test;
+  obs::Registry registry;
+  expect_batching_invisible(busy_series(12, 3000, 2024), config, registry);
+}
+
+// The paper-scale trace (contextact, 28 simulated days, seed 2023) under
+// the train settings (auto-selected lag, guard 10). Its Algorithm 1 runs
+// reach conditioning level 10, past the packed kernel's depth, which is
+// where batching off falls back to the per-row kernel.
+struct DeepFixture {
+  StateSeries series;
+  std::size_t lag = 1;
+};
+
+const DeepFixture& deep_fixture() {
+  static const DeepFixture fixture = [] {
+    sim::HomeProfile profile = sim::contextact_profile();
+    profile.days = 28;
+    sim::SmartHomeSimulator simulator(profile, 2023);
+    preprocess::PreprocessResult pre =
+        preprocess::Preprocessor().run(simulator.run().log);
+    return DeepFixture{std::move(pre.series), pre.lag};
+  }();
+  return fixture;
+}
+
+TEST_P(CiBatchingEquivalence, DeepLevelsMatchPerSubset) {
+  const auto [stable, ci_test] = GetParam();
+  const DeepFixture& fixture = deep_fixture();
+  MinerConfig config;
+  config.max_lag = fixture.lag;
+  config.alpha = 0.001;
+  config.min_samples_per_dof = 10.0;
+  config.stable = stable;
+  config.ci_test = ci_test;
+  config.threads = 4;
+  obs::Registry registry;
+  expect_batching_invisible(fixture.series, config, registry);
+  // The fixture really is deep: level-7+ tests ran (on the lattice in the
+  // batched run, on the byte kernel in the per-subset one).
+  EXPECT_GT(tests_at_level(registry, 7), 0u);
 }
 
 TEST_P(CiBatchingEquivalence, GuardSkippedTestsMatchPerSubset) {

@@ -38,25 +38,30 @@ std::vector<PackedColumn> pack_all(const std::vector<Column>& columns) {
 }
 
 // Exhaustive bit-for-bit comparison of batched vs per-subset results for
-// every (x, Z) drawn from a pool, |Z| = 0..max_level, one statistic.
+// every (x, Z) drawn from a pool of `candidates` columns besides y, every
+// |Z| = 0..candidates-1, one statistic. The packed kernel is compared up
+// to kPackedConditioningLimit, the byte kernel at every depth.
 void expect_batched_matches_per_subset(std::size_t n, std::uint64_t seed,
-                                       bool use_cmh) {
+                                       bool use_cmh,
+                                       std::size_t candidates = 7,
+                                       double guard = 0.0) {
   util::Rng rng(seed);
-  constexpr std::size_t kColumns = 8;  // pool: y + 7 candidates
-  const std::vector<Column> columns = random_columns(kColumns, n, rng, 0.35);
+  const std::size_t column_count = candidates + 1;  // y + candidates
+  const std::vector<Column> columns =
+      random_columns(column_count, n, rng, 0.35);
   const std::vector<PackedColumn> packed = pack_all(columns);
   const ColumnId y = 0;
-  const GSquareOptions options{0.0};
+  const GSquareOptions options{guard};
 
   BatchCiContext batch({packed.data(), packed.size()}, y);
   CiTestContext context;
 
-  for (std::size_t level = 0; level + 2 <= kColumns; ++level) {
-    for (ColumnId x = 1; x < kColumns; ++x) {
+  for (std::size_t level = 0; level + 2 <= column_count; ++level) {
+    for (ColumnId x = 1; x < column_count; ++x) {
       // All |level|-subsets of the remaining columns, encoded as a bitmask
-      // over {1..7} \ {x}.
+      // over {1..candidates} \ {x}.
       std::vector<ColumnId> others;
-      for (ColumnId c = 1; c < kColumns; ++c) {
+      for (ColumnId c = 1; c < column_count; ++c) {
         if (c != x) others.push_back(c);
       }
       std::vector<bool> take(others.size(), false);
@@ -72,14 +77,17 @@ void expect_batched_matches_per_subset(std::size_t n, std::uint64_t seed,
           z_packed.push_back(&packed[others[i]]);
           z_raw.push_back(columns[others[i]]);
         }
+        const bool packed_fits = level <= kPackedConditioningLimit;
         if (use_cmh) {
           const CmhResult batched = cmh_test(batch, x, z_ids);
-          const CmhResult direct =
-              cmh_test(packed[x], packed[y], z_packed, context);
-          const CmhResult byte_direct =
-              cmh_test(columns[x], columns[y], z_raw, context);
-          for (const CmhResult& other : {direct, byte_direct}) {
-            EXPECT_EQ(batched.statistic, other.statistic);
+          std::vector<CmhResult> references = {
+              cmh_test(columns[x], columns[y], z_raw, context)};
+          if (packed_fits) {
+            references.push_back(
+                cmh_test(packed[x], packed[y], z_packed, context));
+          }
+          for (const CmhResult& other : references) {
+            EXPECT_EQ(batched.statistic, other.statistic) << "l=" << level;
             EXPECT_EQ(batched.p_value, other.p_value);
             EXPECT_EQ(batched.sample_count, other.sample_count);
             EXPECT_EQ(batched.informative_strata, other.informative_strata);
@@ -87,12 +95,14 @@ void expect_batched_matches_per_subset(std::size_t n, std::uint64_t seed,
         } else {
           const GSquareResult batched =
               g_square_test(batch, x, z_ids, options);
-          const GSquareResult direct = g_square_test(
-              packed[x], packed[y], z_packed, options, context);
-          const GSquareResult byte_direct =
-              g_square_test(columns[x], columns[y], z_raw, options, context);
-          for (const GSquareResult& other : {direct, byte_direct}) {
-            EXPECT_EQ(batched.statistic, other.statistic);
+          std::vector<GSquareResult> references = {
+              g_square_test(columns[x], columns[y], z_raw, options, context)};
+          if (packed_fits) {
+            references.push_back(g_square_test(
+                packed[x], packed[y], z_packed, options, context));
+          }
+          for (const GSquareResult& other : references) {
+            EXPECT_EQ(batched.statistic, other.statistic) << "l=" << level;
             EXPECT_EQ(batched.dof, other.dof);
             EXPECT_EQ(batched.p_value, other.p_value);
             EXPECT_EQ(batched.sample_count, other.sample_count);
@@ -114,6 +124,63 @@ TEST(BatchCi, GSquareMatchesPerSubsetBitForBit) {
 TEST(BatchCi, CmhMatchesPerSubsetBitForBit) {
   expect_batched_matches_per_subset(997, 21, /*use_cmh=*/true);
   expect_batched_matches_per_subset(1500, 22, /*use_cmh=*/true);
+}
+
+// Past the packed kernel's depth the lattice is compared against the
+// per-row byte kernel, whose tables turn sparse above 256 strata: every
+// subset of 10 candidates, so |Z| runs to 10.
+TEST(BatchCi, DeepGSquareMatchesByteKernelBitForBit) {
+  expect_batched_matches_per_subset(997, 13, /*use_cmh=*/false,
+                                    /*candidates=*/11);
+}
+
+TEST(BatchCi, DeepCmhMatchesByteKernelBitForBit) {
+  expect_batched_matches_per_subset(997, 23, /*use_cmh=*/true,
+                                    /*candidates=*/11);
+}
+
+// A guard of 10 samples per dof skips |Z| >= 7 at n = 997: the skips at
+// depth must match the byte kernel's.
+TEST(BatchCi, DeepGuardSkipsMatchByteKernel) {
+  expect_batched_matches_per_subset(997, 14, /*use_cmh=*/false,
+                                    /*candidates=*/11, /*guard=*/10.0);
+}
+
+// Column ids past 63: memo keys must not assume a 64-column universe.
+TEST(BatchCi, WideUniverseMatchesByteKernelAtDepth) {
+  util::Rng rng(15);
+  constexpr std::size_t kColumns = 80;
+  const std::vector<Column> columns = random_columns(kColumns, 1200, rng, 0.4);
+  const std::vector<PackedColumn> packed = pack_all(columns);
+  BatchCiContext batch({packed.data(), packed.size()}, 0);
+  CiTestContext context;
+  const std::vector<ColumnId> pool = {64, 3,  79, 65, 40, 71,
+                                      66, 68, 10, 77, 63, 1};
+  for (const ColumnId x : {ColumnId{70}, ColumnId{2}, ColumnId{64}}) {
+    for (std::size_t level = 0; level <= kBatchConditioningLimit; ++level) {
+      std::vector<ColumnId> z_ids;
+      std::vector<std::span<const std::uint8_t>> z_raw;
+      for (const ColumnId id : pool) {
+        if (z_ids.size() == level) break;
+        if (id == x) continue;
+        z_ids.push_back(id);
+        z_raw.push_back(columns[id]);
+      }
+      if (z_ids.size() < level) break;
+      const GSquareResult batched = g_square_test(batch, x, z_ids);
+      const GSquareResult direct =
+          g_square_test(columns[x], columns[0], z_raw, {}, context);
+      EXPECT_EQ(batched.statistic, direct.statistic) << "l=" << level;
+      EXPECT_EQ(batched.dof, direct.dof) << "l=" << level;
+      EXPECT_EQ(batched.p_value, direct.p_value) << "l=" << level;
+      const CmhResult batched_cmh = cmh_test(batch, x, z_ids);
+      const CmhResult direct_cmh =
+          cmh_test(columns[x], columns[0], z_raw, context);
+      EXPECT_EQ(batched_cmh.statistic, direct_cmh.statistic) << "l=" << level;
+      EXPECT_EQ(batched_cmh.p_value, direct_cmh.p_value) << "l=" << level;
+      EXPECT_EQ(batched_cmh.informative_strata, direct_cmh.informative_strata);
+    }
+  }
 }
 
 // Satellite (PR 6): the exhaustive batched-vs-per-subset equivalence must
@@ -189,7 +256,7 @@ TEST(BatchCi, SimdBackendsProduceBitIdenticalStatistics) {
 
 TEST(BatchCi, SmallSampleGuardSkipsWithoutCounting) {
   util::Rng rng(31);
-  const std::vector<Column> columns = random_columns(4, 100, rng, 0.5);
+  const std::vector<Column> columns = random_columns(12, 100, rng, 0.5);
   const std::vector<PackedColumn> packed = pack_all(columns);
   BatchCiContext batch({packed.data(), packed.size()}, 0);
   const std::size_t passes_before = batch.pass_count();
@@ -197,7 +264,10 @@ TEST(BatchCi, SmallSampleGuardSkipsWithoutCounting) {
   const ColumnId z_ids[2] = {2, 3};
   const GSquareResult result = g_square_test(batch, 1, z_ids, guard);
   EXPECT_TRUE(result.skipped_insufficient_data);
-  // The preamble must fire before any counting happens.
+  // The preamble must fire before any counting happens — at depth too.
+  const ColumnId deep_ids[10] = {2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  EXPECT_TRUE(
+      g_square_test(batch, 1, deep_ids, {1.0}).skipped_insufficient_data);
   EXPECT_EQ(batch.pass_count(), passes_before);
 }
 
@@ -235,6 +305,27 @@ TEST(BatchCi, MemoizationSharesPassesAcrossSubsets) {
   batch.reset_cache();
   (void)batch.count_strata(1, z_one);
   EXPECT_GT(batch.pass_count(), after_prepare + 1);
+}
+
+TEST(BatchCi, NewSetsRebuildTheirPrefixMask) {
+  // Masks are not memoized: counting a new set S ANDs |S| - 1 columns
+  // into the scratch prefix (|S| - 2 passes) and counts in one more.
+  util::Rng rng(43);
+  const std::vector<Column> columns = random_columns(6, 512, rng, 0.4);
+  const std::vector<PackedColumn> packed = pack_all(columns);
+  BatchCiContext batch({packed.data(), packed.size()}, 0);
+  std::vector<ColumnId> xs = {1, 2, 3, 4};
+  batch.prepare_marginals(xs);
+  const std::size_t warm = batch.pass_count();
+  // x = 1, Z = {2, 3, 4}: six pairs (1 pass each), four triples (2
+  // each), one quadruple (3).
+  const ColumnId z[3] = {4, 2, 3};
+  (void)batch.count_strata(1, z);
+  EXPECT_EQ(batch.pass_count(), warm + 6 + 4 * 2 + 3);
+  // Every set is memoized now, in any z order.
+  const ColumnId z_sorted[3] = {2, 3, 4};
+  (void)batch.count_strata(1, z_sorted);
+  EXPECT_EQ(batch.pass_count(), warm + 17);
 }
 
 TEST(BatchCi, ConditioningOrderPermutesStrataNotCounts) {

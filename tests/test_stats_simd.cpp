@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -182,6 +183,38 @@ TEST(SimdKernels, EveryBackendMatchesScalarBitForBit) {
             << " store_mask=" << store_mask;
       }
       ASSERT_TRUE(stats::simd::force_backend(Backend::kScalar));
+    }
+  }
+  ASSERT_TRUE(stats::simd::force_backend(before));
+}
+
+// BatchCiContext rebuilds a new set's prefix mask by ANDing columns into
+// one scratch buffer in place (mask_out == prefix).
+TEST(SimdKernels, MaskedPassMayStoreInPlace) {
+  util::Rng rng(11);
+  const Backend before = stats::simd::chosen();
+  for (const std::size_t n : {64ul, 513ul, 4097ul}) {
+    std::vector<stats::AlignedWords> cols;
+    for (std::size_t c = 0; c < 3; ++c) cols.push_back(random_column(n, rng));
+    const std::size_t padded = cols[0].size();
+    for (const Backend backend : stats::simd::available_backends()) {
+      ASSERT_TRUE(stats::simd::force_backend(backend));
+      const stats::simd::Kernels& kernels = stats::simd::kernels();
+      stats::AlignedWords expected(padded);
+      std::uint64_t p = 0;
+      std::uint64_t p_y = 0;
+      kernels.masked_pass(cols[1].data(), cols[2].data(), cols[0].data(),
+                          expected.data(), padded, &p, &p_y);
+      stats::AlignedWords in_place = cols[1];
+      std::uint64_t q = 0;
+      std::uint64_t q_y = 0;
+      kernels.masked_pass(in_place.data(), cols[2].data(), cols[0].data(),
+                          in_place.data(), padded, &q, &q_y);
+      EXPECT_EQ(q, p) << stats::simd::backend_name(backend);
+      EXPECT_EQ(q_y, p_y) << stats::simd::backend_name(backend);
+      EXPECT_TRUE(std::equal(in_place.data(), in_place.data() + padded,
+                             expected.data()))
+          << stats::simd::backend_name(backend) << " n=" << n;
     }
   }
   ASSERT_TRUE(stats::simd::force_backend(before));

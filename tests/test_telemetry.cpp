@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "causaliot/telemetry/device.hpp"
 #include "causaliot/telemetry/event.hpp"
@@ -154,6 +155,33 @@ TEST_F(EventLogFileTest, LoadRejectsUnknownDevice) {
                         ValueType::kBinary})
                   .ok());
   EXPECT_FALSE(EventLog::load_csv(path_.string(), other).ok());
+}
+
+// from_chars accepts "nan"/"inf": a non-finite timestamp would break the
+// strict weak ordering sort_by_time relies on, and a non-finite reading
+// would poison the device's training mean. Both must fail the load, and
+// the error must name the offending field.
+TEST_F(EventLogFileTest, LoadRejectsNonFiniteFields) {
+  const struct {
+    const char* row;
+    const char* field;
+  } cases[] = {{"nan,switch_a,1", "timestamp"},
+               {"inf,switch_a,1", "timestamp"},
+               {"1.0,bright_a,nan", "value"},
+               {"1.0,bright_a,-inf", "value"}};
+  for (const auto& c : cases) {
+    {
+      std::ofstream out(path_);
+      out << "timestamp,device,value\n0.5,switch_a,0\n" << c.row << "\n";
+    }
+    const auto loaded = EventLog::load_csv(path_.string(), small_catalog());
+    ASSERT_FALSE(loaded.ok()) << c.row;
+    EXPECT_EQ(loaded.error().code, util::ErrorCode::kParseError) << c.row;
+    EXPECT_NE(loaded.error().message.find(c.field), std::string::npos)
+        << loaded.error().message;
+    EXPECT_NE(loaded.error().message.find("non-finite"), std::string::npos)
+        << loaded.error().message;
+  }
 }
 
 }  // namespace

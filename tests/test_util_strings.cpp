@@ -53,6 +53,15 @@ TEST(ParseDouble, RejectsGarbage) {
   EXPECT_FALSE(parse_double("  ").ok());
 }
 
+TEST(ParseDouble, RejectsNonFinite) {
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                           "1e400"}) {
+    const auto parsed = parse_double(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error().code, ErrorCode::kParseError);
+  }
+}
+
 TEST(ParseInt, ValidValues) {
   EXPECT_EQ(parse_int("17").value(), 17);
   EXPECT_EQ(parse_int("-4").value(), -4);
