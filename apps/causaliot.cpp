@@ -710,6 +710,7 @@ int cmd_serve(const Args& args) {
       switch (result.outcome) {
         case serve::IngestRouter::Outcome::kBlank:
         case serve::IngestRouter::Outcome::kAccepted:
+        case serve::IngestRouter::Outcome::kStaged:
         case serve::IngestRouter::Outcome::kControlOk:
           break;
         default:

@@ -23,7 +23,7 @@ void evaluate_profile(sim::HomeProfile profile, std::uint64_t seed) {
   std::printf("\n-- %s --\n", name.c_str());
   std::printf("sanitized events: %zu (train %zu / test %zu), tau=%zu, "
               "alpha=%.4g\n",
-              ex.pre.sanitized_events.size(), ex.train_series.event_count(),
+              ex.sanitized_event_count, ex.train_series.event_count(),
               ex.test_series.event_count(), ex.model.lag, 0.001);
   std::printf("ground-truth interactions: %zu; DIG device-level pairs "
               "asserted: %zu\n",

@@ -56,6 +56,9 @@ Experiment build_experiment(sim::HomeProfile profile,
   experiment.ground_truth = refine_ground_truth(
       experiment.sim.ground_truth, experiment.pre.sanitized_events,
       /*window=*/1, /*min_count=*/15);
+  experiment.sanitized_event_count = experiment.pre.sanitized_events.size();
+  experiment.pre.sanitized_events = std::vector<preprocess::BinaryEvent>();
+  experiment.pre.series = preprocess::StateSeries();
 
   Pipeline pipeline(config.pipeline);
   const std::size_t lag = config.pipeline.max_lag > 0

@@ -40,7 +40,11 @@ struct Experiment {
   /// Paper-methodology ground truth: the generator oracle intersected with
   /// device pairs that actually appear as neighbouring events (§VI-A).
   sim::GroundTruth ground_truth;
+  /// The preprocessing result. Its sanitized stream and full series are
+  /// released once split (train_series/test_series hold the same
+  /// events); sanitized_event_count keeps their size.
   preprocess::PreprocessResult pre;
+  std::size_t sanitized_event_count = 0;
   preprocess::StateSeries train_series;
   preprocess::StateSeries test_series;
   /// Raw (un-sanitized, discretized) runtime stream covering the test

@@ -9,7 +9,10 @@
 // quiet on success (an acknowledged-per-line protocol cannot reach
 // millions of events/s), so responses are reserved for errors and
 // control-verb results. Responses generated while draining one recv
-// batch are written back in a single send.
+// batch are written back in a single send. Each recv batch also runs
+// inside one util::BatchScope, so a handler's hand-offs (the ingest
+// router's shard pushes) are made once per batch, before the responses
+// are written.
 //
 // Slow-client defense mirrors the HTTP plane: SO_SNDTIMEO bounds every
 // write, and a client that stalls past it is dropped (counted in

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "causaliot/net/socket_io.hpp"
+#include "causaliot/util/batch_scope.hpp"
 
 namespace causaliot::net {
 
@@ -56,24 +57,29 @@ bool LineProtocolServer::drain_lines(int fd, std::string& buffer) {
   std::string responses;
   std::size_t start = 0;
   bool drop = false;
-  for (;;) {
-    const std::size_t newline = buffer.find('\n', start);
-    if (newline == std::string::npos) break;
-    std::string_view line(buffer.data() + start, newline - start);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    start = newline + 1;
-    if (line.size() > config_.max_line_bytes) {
-      oversized_drops_.fetch_add(1, std::memory_order_relaxed);
-      responses += config_.oversized_response;
-      responses += '\n';
-      drop = true;
-      break;
-    }
-    lines_.fetch_add(1, std::memory_order_relaxed);
-    if (std::optional<std::string> response = handler_(line)) {
-      responses_.fetch_add(1, std::memory_order_relaxed);
-      responses += *response;
-      responses += '\n';
+  {
+    // One batch per read chunk: what the handler stages is handed off
+    // when the scope closes, before the responses go out.
+    util::BatchScope chunk;
+    for (;;) {
+      const std::size_t newline = buffer.find('\n', start);
+      if (newline == std::string::npos) break;
+      std::string_view line(buffer.data() + start, newline - start);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      start = newline + 1;
+      if (line.size() > config_.max_line_bytes) {
+        oversized_drops_.fetch_add(1, std::memory_order_relaxed);
+        responses += config_.oversized_response;
+        responses += '\n';
+        drop = true;
+        break;
+      }
+      lines_.fetch_add(1, std::memory_order_relaxed);
+      if (std::optional<std::string> response = handler_(line)) {
+        responses_.fetch_add(1, std::memory_order_relaxed);
+        responses += *response;
+        responses += '\n';
+      }
     }
   }
   buffer.erase(0, start);

@@ -65,9 +65,9 @@ struct IngestFields {
   bool has_timestamp = false;
 };
 
-/// Scans one `{"key": value, ...}` object — string and number values,
-/// no nesting, unknown keys skipped. Returns false on malformed input.
-/// Escapes inside strings are not processed (device/tenant names are
+/// Scans one `{"key": value, ...}` object — string and finite number
+/// values, no nesting, unknown keys skipped. Returns false on malformed
+/// input (nan and inf included). Escapes inside strings are not processed (device/tenant names are
 /// identifiers); a name containing `\"` simply fails to match anything.
 bool scan_ingest_line(std::string_view line, IngestFields& out);
 
@@ -90,6 +90,7 @@ class IngestRouter {
   enum class Outcome : std::uint8_t {
     kBlank,          // empty line; not counted
     kAccepted,       // event queued
+    kStaged,         // event staged in the thread's util::BatchScope
     kParseError,     // malformed line or missing event field
     kUnknownTenant,  // tenant (or default) names no live tenant
     kUnknownDevice,  // device name not in the catalog
@@ -111,11 +112,16 @@ class IngestRouter {
                const telemetry::DeviceCatalog& catalog, IngestConfig config);
 
   /// Parses and routes one line. Callable concurrently from any number
-  /// of transport workers.
+  /// of transport workers. Inside a util::BatchScope under kBlock an
+  /// event line is staged (kStaged) and counted in lines/accepted (or
+  /// rejected{closed|unknown-tenant}) only when the scope pushes it, so
+  /// lines_total() never runs ahead of the shard queues. Control verbs
+  /// push the staged events first.
   LineResult handle_line(std::string_view line);
 
   /// Wire response for a result: nullopt for the quiet paths (blank,
-  /// accepted event), "OK <op>" for controls, "ERR <reason>" otherwise.
+  /// accepted or staged event), "OK <op>" for controls, "ERR <reason>"
+  /// otherwise.
   static std::optional<std::string> response_line(const LineResult& result);
 
   /// Control-verb implementations, shared with the HTTP tenant routes.
@@ -134,6 +140,9 @@ class IngestRouter {
   std::uint64_t rejected_total() const;
 
  private:
+  /// handle_line minus the line count.
+  LineResult route(std::string_view line);
+
   DetectionService& service_;
   const telemetry::DeviceCatalog& catalog_;
   IngestConfig config_;
@@ -151,6 +160,8 @@ class IngestRouter {
   obs::Counter* control_add_err_ = nullptr;
   obs::Counter* control_remove_ok_ = nullptr;
   obs::Counter* control_remove_err_ = nullptr;
+  /// What a staged event charges at push (see handle_line).
+  SubmitTally tally_;
 };
 
 /// Registers the ingestion routes on an HTTP plane:

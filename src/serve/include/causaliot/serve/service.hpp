@@ -32,6 +32,14 @@
 // Removal tombstones the directory entry first, so events already
 // queued behind the RemoveTenant control are counted as orphaned
 // rather than touching a destroyed session.
+//
+// The handoff is batched on both sides. Under kBlock, a submit() inside
+// a util::BatchScope (the TCP ingest plane opens one per read chunk) is
+// staged and reaches its shard in one push_batch per shard when the
+// scope closes: one lock and one wake per chunk instead of per event.
+// Lifecycle calls flush the caller's scope first, so per-tenant order
+// is unchanged. The worker drains up to BoundedQueue::kPopBatch items
+// per lock; ShardProgress::queue_depth counts those still in its hand.
 #pragma once
 
 #include <atomic>
@@ -53,6 +61,7 @@
 #include "causaliot/serve/model_health.hpp"
 #include "causaliot/serve/session.hpp"
 #include "causaliot/serve/template_registry.hpp"
+#include "causaliot/util/batch_scope.hpp"
 #include "causaliot/util/bounded_queue.hpp"
 #include "causaliot/util/slot_array.hpp"
 
@@ -122,6 +131,17 @@ struct ServedAlarm {
 /// detection path.
 using AlarmCallback = std::function<void(const ServedAlarm&)>;
 
+/// Counters a staged event charges when its batch is pushed (see
+/// DetectionService::submit), so a caller's tallies never run ahead of
+/// the shard queues. The ingest router passes its own line counters.
+/// All four must be set.
+struct SubmitTally {
+  obs::Counter* routed = nullptr;          // every staged event, at push
+  obs::Counter* accepted = nullptr;        // entered a shard queue
+  obs::Counter* closed = nullptr;          // the queue had closed
+  obs::Counter* unknown_tenant = nullptr;  // tenant removed before push
+};
+
 class DetectionService {
  public:
   DetectionService(ServiceConfig config, AlarmCallback on_alarm);
@@ -172,12 +192,26 @@ class DetectionService {
     kRejected,       // full queue under kReject; event not queued
     kClosed,         // service shutting down; event not queued
     kUnknownTenant,  // handle names no live tenant; event not queued
+    kStaged,         // held in this thread's util::BatchScope (kBlock)
   };
 
   /// Routes `event` to the tenant's shard. Callable from any thread.
   /// Under kBlock this may wait for queue space (lossless backpressure).
+  ///
+  /// Under kBlock inside a util::BatchScope the event is staged instead
+  /// (kStaged, enqueue time stamped now) and reaches its shard with the
+  /// rest of the scope's events for that shard in one push_batch when
+  /// the scope flushes. At that push `tally` (optional) is charged:
+  /// routed for every staged event, then accepted, closed (the service
+  /// shut down meanwhile) or unknown_tenant (another thread removed the
+  /// tenant meanwhile). Per-tenant order is kept: add_tenant,
+  /// remove_tenant, swap_model and shutdown flush the calling thread's
+  /// scope first. kReject and kDropOldest never stage, because their
+  /// per-event verdict is the caller's answer. Outside a scope every
+  /// policy pushes at once. The service must outlive the scope.
   SubmitResult submit(TenantHandle tenant,
-                      const preprocess::BinaryEvent& event);
+                      const preprocess::BinaryEvent& event,
+                      const SubmitTally* tally = nullptr);
 
   /// Publishes a new model for one tenant without pausing ingestion;
   /// adopted at that session's next event boundary. Any thread.
@@ -213,11 +247,14 @@ class DetectionService {
   const BlameLedger& blame() const { return blame_; }
 
   /// Liveness evidence one shard worker publishes as it runs: the
-  /// heartbeat advances once per dequeued item (events and controls
-  /// alike), last_item_ns is the completion timestamp of the newest
-  /// processed event. A queue_depth > 0 paired with a frozen heartbeat
-  /// is the watchdog's definition of a stalled worker — an empty queue
-  /// with no heartbeat is merely idle.
+  /// heartbeat advances once per item the worker starts processing
+  /// (events and controls alike), last_item_ns is the completion
+  /// timestamp of the newest processed event, and queue_depth is the
+  /// shard's backlog: items queued plus items the worker has taken in
+  /// its current batch but not yet processed. A queue_depth > 0 paired
+  /// with a frozen heartbeat is the watchdog's definition of a stalled
+  /// worker (also one wedged mid-batch) — no backlog with no heartbeat
+  /// is merely idle.
   struct ShardProgress {
     std::uint64_t heartbeat = 0;
     std::uint64_t last_item_ns = 0;
@@ -314,6 +351,22 @@ class DetectionService {
     obs::Counter* processed = nullptr;
     obs::Counter* orphaned = nullptr;
     obs::Gauge* queue_depth = nullptr;
+    /// Items of the worker's current batch not yet processed; with
+    /// queue.size() it makes the backlog (see ShardProgress). Written by
+    /// the worker only.
+    std::atomic<std::size_t> in_hand{0};
+  };
+
+  /// Events one thread staged for this service inside a util::BatchScope,
+  /// per shard in submit order, and the tally they charge at push.
+  struct StagedEvents final : util::BatchScope::Batch {
+    explicit StagedEvents(DetectionService& owner)
+        : service(owner), by_shard(owner.shards_.size()) {}
+    void flush() override { service.push_staged(*this); }
+    DetectionService& service;
+    const SubmitTally* tally = nullptr;
+    std::vector<std::vector<ShardItem>> by_shard;
+    std::size_t count = 0;
   };
 
   /// Submit-path directory entry. Published to the SlotArray only after
@@ -336,6 +389,13 @@ class DetectionService {
   };
 
   void worker_loop(Shard& shard);
+  /// One push_batch per shard of everything `staged` holds; charges its
+  /// tally and leaves it empty.
+  void push_staged(StagedEvents& staged);
+  static std::size_t backlog(const Shard& shard) {
+    return shard.queue.size() +
+           shard.in_hand.load(std::memory_order_relaxed);
+  }
   void process_item(Shard& shard, ShardItem& item);
   void process_event(Shard& shard, ShardItem& item);
   void deliver(TenantHandle handle, TenantSession& session,

@@ -1,6 +1,7 @@
 #include "causaliot/serve/ingest.hpp"
 
 #include <charconv>
+#include <cmath>
 
 #include "causaliot/obs/http_server.hpp"
 #include "causaliot/util/strings.hpp"
@@ -31,11 +32,13 @@ bool scan_string(std::string_view line, std::size_t& i,
   return true;
 }
 
+/// JSON numbers only: from_chars also reads nan, inf and infinity,
+/// which no sensor reading or timestamp may be.
 bool scan_number(std::string_view line, std::size_t& i, double& out) {
   const char* begin = line.data() + i;
   const char* end = line.data() + line.size();
   const auto parsed = std::from_chars(begin, end, out);
-  if (parsed.ec != std::errc{}) return false;
+  if (parsed.ec != std::errc{} || !std::isfinite(out)) return false;
   i += static_cast<std::size_t>(parsed.ptr - begin);
   return true;
 }
@@ -169,6 +172,7 @@ IngestRouter::IngestRouter(DetectionService& service,
   control_remove_err_ = &registry.counter(
       "serve_ingest_controls_total",
       {{"op", "remove_tenant"}, {"result", "error"}});
+  tally_ = {lines_, accepted_, rejected_closed_, rejected_unknown_tenant_};
 }
 
 bool IngestRouter::add_tenant(std::string_view name,
@@ -202,8 +206,13 @@ bool IngestRouter::remove_tenant(std::string_view name) {
 
 IngestRouter::LineResult IngestRouter::handle_line(std::string_view line) {
   if (util::trim(line).empty()) return {Outcome::kBlank, nullptr};
-  lines_->increment();
+  const LineResult result = route(line);
+  // A staged line is counted when its batch is pushed (tally_).
+  if (result.outcome != Outcome::kStaged) lines_->increment();
+  return result;
+}
 
+IngestRouter::LineResult IngestRouter::route(std::string_view line) {
   IngestFields fields;
   if (!scan_ingest_line(line, fields)) {
     rejected_parse_->increment();
@@ -259,7 +268,7 @@ IngestRouter::LineResult IngestRouter::handle_line(std::string_view line) {
       device->second,
       static_cast<std::uint8_t>(fields.value != 0.0 ? 1 : 0),
       fields.timestamp};
-  switch (service_.submit(tenant, event)) {
+  switch (service_.submit(tenant, event, &tally_)) {
     case DetectionService::SubmitResult::kAccepted:
       accepted_->increment();
       return {Outcome::kAccepted, nullptr};
@@ -273,6 +282,8 @@ IngestRouter::LineResult IngestRouter::handle_line(std::string_view line) {
       // The tenant was removed between find_tenant and submit.
       rejected_unknown_tenant_->increment();
       return {Outcome::kUnknownTenant, "unknown-tenant"};
+    case DetectionService::SubmitResult::kStaged:
+      return {Outcome::kStaged, nullptr};
   }
   return {Outcome::kParseError, "parse"};  // unreachable
 }
@@ -282,6 +293,7 @@ std::optional<std::string> IngestRouter::response_line(
   switch (result.outcome) {
     case Outcome::kBlank:
     case Outcome::kAccepted:
+    case Outcome::kStaged:
       return std::nullopt;
     case Outcome::kControlOk:
       return "OK " + std::string(result.reason);
@@ -320,6 +332,7 @@ void attach_ingest(obs::HttpServer& http, IngestRouter& router) {
         case IngestRouter::Outcome::kBlank:
           continue;
         case IngestRouter::Outcome::kAccepted:
+        case IngestRouter::Outcome::kStaged:
           ++lines, ++accepted;
           continue;
         case IngestRouter::Outcome::kControlOk:

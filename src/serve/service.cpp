@@ -1,5 +1,6 @@
 #include "causaliot/serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "causaliot/obs/trace.hpp"
@@ -39,7 +40,8 @@ DetectionService::DetectionService(ServiceConfig config, AlarmCallback on_alarm)
         "Events dequeued after their tenant was removed, by shard");
     shards_.back()->queue_depth = &registry_->gauge(
         "serve_queue_depth", {{"shard", shard_label}},
-        "Shard queue occupancy at snapshot time");
+        "Shard backlog at snapshot time: queued items plus items the "
+        "worker has taken but not yet processed");
   }
   model_resident_gauge_ = &registry_->gauge(
       "serve_model_resident_bytes", {},
@@ -63,6 +65,7 @@ DetectionService::~DetectionService() { shutdown(); }
 TenantHandle DetectionService::add_tenant(
     std::string name, std::shared_ptr<const ModelSnapshot> model,
     std::vector<std::uint8_t> initial_state) {
+  util::BatchScope::flush_current();
   std::lock_guard<std::mutex> lock(directory_mutex_);
   if (stopped_ || by_name_.count(name) != 0) return kInvalidTenant;
   const TenantHandle handle = tenant_limit_.load(std::memory_order_relaxed);
@@ -113,6 +116,9 @@ TenantHandle DetectionService::add_tenant(
 }
 
 bool DetectionService::remove_tenant(TenantHandle tenant) {
+  // Events this thread staged before the removal are pushed ahead of it,
+  // so they are processed rather than orphaned.
+  util::BatchScope::flush_current();
   std::lock_guard<std::mutex> lock(directory_mutex_);
   if (stopped_) return false;
   TenantMeta* meta = metas_.get(tenant);
@@ -156,14 +162,13 @@ void DetectionService::start() {
 }
 
 DetectionService::SubmitResult DetectionService::submit(
-    TenantHandle tenant, const preprocess::BinaryEvent& event) {
+    TenantHandle tenant, const preprocess::BinaryEvent& event,
+    const SubmitTally* tally) {
   const TenantMeta* meta = metas_.get(tenant);
   if (meta == nullptr || !meta->alive.load(std::memory_order_acquire)) {
     metrics_.events_unroutable->increment();
     return SubmitResult::kUnknownTenant;
   }
-  metrics_.events_submitted->increment();
-  Shard& shard = *shards_[meta->shard];
   ShardItem item;
   item.handle = tenant;
   item.event = event;
@@ -176,7 +181,22 @@ DetectionService::SubmitResult DetectionService::submit(
                       config_.trace_sample_every ==
                   0;
   }
-  switch (shard.queue.push(std::move(item))) {
+  util::BatchScope* scope = config_.overflow == util::OverflowPolicy::kBlock
+                                ? util::BatchScope::current()
+                                : nullptr;
+  if (scope != nullptr) {
+    StagedEvents& staged = scope->batch<StagedEvents>(
+        this, [this] { return std::make_unique<StagedEvents>(*this); });
+    if (staged.tally != tally) {
+      push_staged(staged);
+      staged.tally = tally;
+    }
+    staged.by_shard[meta->shard].push_back(std::move(item));
+    ++staged.count;
+    return SubmitResult::kStaged;
+  }
+  metrics_.events_submitted->increment();
+  switch (shards_[meta->shard]->queue.push(std::move(item))) {
     case util::PushResult::kAccepted:
     case util::PushResult::kDroppedOldest:
       return SubmitResult::kAccepted;
@@ -188,8 +208,44 @@ DetectionService::SubmitResult DetectionService::submit(
   return SubmitResult::kClosed;  // unreachable
 }
 
+void DetectionService::push_staged(StagedEvents& staged) {
+  if (staged.count == 0) return;
+  std::uint64_t pushed = 0, closed = 0, removed = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::vector<ShardItem>& items = staged.by_shard[s];
+    if (items.empty()) continue;
+    // A tenant another thread removed since staging refuses its events
+    // here, as submit() would have, instead of orphaning them behind
+    // the RemoveTenant control.
+    const auto live_end = std::remove_if(
+        items.begin(), items.end(), [this](const ShardItem& item) {
+          return !metas_.get(item.handle)->alive.load(
+              std::memory_order_acquire);
+        });
+    removed += static_cast<std::uint64_t>(items.end() - live_end);
+    items.erase(live_end, items.end());
+    const std::size_t accepted =
+        shards_[s]->queue.push_batch(std::span<ShardItem>(items));
+    pushed += accepted;
+    closed += items.size() - accepted;
+    items.clear();
+  }
+  metrics_.events_unroutable->add(removed);
+  metrics_.events_submitted->add(pushed + closed);
+  if (staged.tally != nullptr) {
+    staged.tally->accepted->add(pushed);
+    staged.tally->closed->add(closed);
+    staged.tally->unknown_tenant->add(removed);
+    staged.tally->routed->add(staged.count);
+  }
+  staged.count = 0;
+}
+
 void DetectionService::swap_model(TenantHandle tenant,
                                   std::shared_ptr<const ModelSnapshot> model) {
+  // Staged events for this tenant are scored by the model they were
+  // sent under.
+  util::BatchScope::flush_current();
   // Lifecycle lock, not the event path: re-bills the tenant's model
   // bytes against the new snapshot's components (same lock-then-enqueue
   // ordering as add_tenant).
@@ -343,12 +399,18 @@ void DetectionService::process_event(Shard& shard, ShardItem& item) {
 }
 
 void DetectionService::worker_loop(Shard& shard) {
-  while (std::optional<ShardItem> item = shard.queue.pop()) {
-    process_item(shard, *item);
+  std::vector<ShardItem> batch;
+  while (shard.queue.pop_batch(batch)) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      shard.in_hand.store(batch.size() - i, std::memory_order_relaxed);
+      process_item(shard, batch[i]);
+    }
+    shard.in_hand.store(0, std::memory_order_relaxed);
   }
 }
 
 void DetectionService::shutdown() {
+  util::BatchScope::flush_current();
   bool was_started = false;
   {
     std::lock_guard<std::mutex> lock(directory_mutex_);
@@ -364,13 +426,9 @@ void DetectionService::shutdown() {
     }
   } else {
     // Never started: drain whatever was queued inline so accepted events
-    // are still processed (the contract shutdown() promises).
-    for (auto& shard : shards_) {
-      Shard& s = *shard;
-      while (std::optional<ShardItem> item = s.queue.try_pop()) {
-        process_item(s, *item);
-      }
-    }
+    // are still processed (the contract shutdown() promises). The queues
+    // are closed, so the worker loop returns once they are empty.
+    for (auto& shard : shards_) worker_loop(*shard);
   }
   // Queues are drained and workers are gone: flush pending windows of
   // every surviving session, in handle order for determinism.
@@ -402,13 +460,13 @@ DetectionService::ShardProgress DetectionService::shard_progress(
   ShardProgress out;
   out.heartbeat = s.heartbeat.load(std::memory_order_relaxed);
   out.last_item_ns = s.last_item_ns.load(std::memory_order_relaxed);
-  out.queue_depth = s.queue.size();
+  out.queue_depth = backlog(s);
   return out;
 }
 
 void DetectionService::refresh_queue_gauges() const {
   for (const auto& shard : shards_) {
-    shard->queue_depth->set(static_cast<std::int64_t>(shard->queue.size()));
+    shard->queue_depth->set(static_cast<std::int64_t>(backlog(*shard)));
   }
 }
 

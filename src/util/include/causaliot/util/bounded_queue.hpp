@@ -16,6 +16,11 @@
 // Every outcome is counted, so operators can see which policy fired and
 // how often (serve::Metrics folds these into its report).
 //
+// push_batch()/pop_batch() move many items per lock and per wake-up:
+// the serving layer hands a whole TCP read chunk to a shard in one
+// push_batch, and the shard worker drains up to kPopBatch items at a
+// time. A batch meets the overflow policy item by item.
+//
 // close() ends the stream: producers are turned away (kClosed), while
 // consumers drain the remaining items and then observe end-of-stream —
 // the graceful shutdown path.
@@ -27,9 +32,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "causaliot/util/check.hpp"
 
@@ -80,56 +88,26 @@ class BoundedQueue {
   /// other policies never do. Returns what happened (see PushResult).
   PushResult push(T item) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (closed_) {
-      ++counters_.closed_rejects;
-      return PushResult::kClosed;
+    const PushResult result = push_locked(lock, std::move(item));
+    if (enqueued(result)) item_available_.notify_one();
+    return result;
+  }
+
+  /// Enqueues every item of `items` (moved from, in order) under one
+  /// lock and wakes the consumer once at the end. Each item meets the
+  /// overflow policy exactly as push() would, so the counters equal
+  /// those of the same pushes made one by one; under kBlock a full
+  /// queue wakes the consumer before the producer waits, so a batch
+  /// larger than the capacity still completes. Returns how many items
+  /// were enqueued; under kBlock the rest were refused by close().
+  std::size_t push_batch(std::span<T> items) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::size_t pushed = 0;
+    for (T& item : items) {
+      if (enqueued(push_locked(lock, std::move(item)))) ++pushed;
     }
-    if (items_.size() >= capacity_) {
-      switch (policy_) {
-        case OverflowPolicy::kBlock: {
-          ++counters_.block_waits;
-          space_available_.wait(lock, [this] {
-            return items_.size() < capacity_ || closed_;
-          });
-          if (closed_) {
-            ++counters_.closed_rejects;
-            return PushResult::kClosed;
-          }
-          break;
-        }
-        case OverflowPolicy::kDropOldest: {
-          auto victim = items_.begin();
-          if (evictable_) {
-            victim = std::find_if(items_.begin(), items_.end(),
-                                  [this](const T& queued) {
-                                    return evictable_(queued);
-                                  });
-          }
-          if (victim == items_.end()) {
-            // Only non-evictable items queued: admit over capacity
-            // rather than lose a control message.
-            items_.push_back(std::move(item));
-            ++counters_.accepted;
-            item_available_.notify_one();
-            return PushResult::kAccepted;
-          }
-          items_.erase(victim);
-          ++counters_.dropped_oldest;
-          items_.push_back(std::move(item));
-          ++counters_.accepted;
-          item_available_.notify_one();
-          return PushResult::kDroppedOldest;
-        }
-        case OverflowPolicy::kReject: {
-          ++counters_.rejected;
-          return PushResult::kRejected;
-        }
-      }
-    }
-    items_.push_back(std::move(item));
-    ++counters_.accepted;
-    item_available_.notify_one();
-    return PushResult::kAccepted;
+    if (pushed > 0) item_available_.notify_all();
+    return pushed;
   }
 
   /// Enqueues `item` ignoring capacity and overflow policy: it never
@@ -172,6 +150,26 @@ class BoundedQueue {
     return item;
   }
 
+  /// Most items one pop_batch() takes under a single lock.
+  static constexpr std::size_t kPopBatch = 256;
+
+  /// Blocks like pop(), then moves up to kPopBatch queued items into
+  /// `out` (cleared first) under one lock and wakes blocked producers
+  /// once. Returns false only at end-of-stream.
+  bool pop_batch(std::vector<T>& out) {
+    out.clear();
+    std::unique_lock<std::mutex> lock(mutex_);
+    item_available_.wait(lock, [this] { return !items_.empty() || closed_; });
+    if (items_.empty()) return false;
+    const auto end =
+        items_.begin() +
+        static_cast<std::ptrdiff_t>(std::min(items_.size(), kPopBatch));
+    std::move(items_.begin(), end, std::back_inserter(out));
+    items_.erase(items_.begin(), end);
+    space_available_.notify_all();
+    return true;
+  }
+
   /// Stops accepting items. Queued items stay poppable (drain); blocked
   /// producers wake up with kClosed. Idempotent.
   void close() {
@@ -197,6 +195,66 @@ class BoundedQueue {
   }
 
  private:
+  static bool enqueued(PushResult result) {
+    return result == PushResult::kAccepted ||
+           result == PushResult::kDroppedOldest;
+  }
+
+  /// One item through the overflow policy; the caller holds `lock` and
+  /// notifies the consumer.
+  PushResult push_locked(std::unique_lock<std::mutex>& lock, T&& item) {
+    if (closed_) {
+      ++counters_.closed_rejects;
+      return PushResult::kClosed;
+    }
+    if (items_.size() >= capacity_) {
+      switch (policy_) {
+        case OverflowPolicy::kBlock: {
+          ++counters_.block_waits;
+          // Items a batch pushed before filling the queue are not yet
+          // announced; wake the consumer before sleeping on it.
+          item_available_.notify_all();
+          space_available_.wait(lock, [this] {
+            return items_.size() < capacity_ || closed_;
+          });
+          if (closed_) {
+            ++counters_.closed_rejects;
+            return PushResult::kClosed;
+          }
+          break;
+        }
+        case OverflowPolicy::kDropOldest: {
+          auto victim = items_.begin();
+          if (evictable_) {
+            victim = std::find_if(items_.begin(), items_.end(),
+                                  [this](const T& queued) {
+                                    return evictable_(queued);
+                                  });
+          }
+          if (victim == items_.end()) {
+            // Only non-evictable items queued: admit over capacity
+            // rather than lose a control message.
+            items_.push_back(std::move(item));
+            ++counters_.accepted;
+            return PushResult::kAccepted;
+          }
+          items_.erase(victim);
+          ++counters_.dropped_oldest;
+          items_.push_back(std::move(item));
+          ++counters_.accepted;
+          return PushResult::kDroppedOldest;
+        }
+        case OverflowPolicy::kReject: {
+          ++counters_.rejected;
+          return PushResult::kRejected;
+        }
+      }
+    }
+    items_.push_back(std::move(item));
+    ++counters_.accepted;
+    return PushResult::kAccepted;
+  }
+
   const std::size_t capacity_;
   const OverflowPolicy policy_;
   const EvictFilter evictable_;

@@ -160,7 +160,7 @@ TEST_F(IntegrationTest, EventLogRoundTripReproducesPipeline) {
   preprocess::Preprocessor preprocessor;
   const auto redo = preprocessor.run(loaded.value());
   EXPECT_EQ(redo.sanitized_events.size(),
-            experiment_->pre.sanitized_events.size());
+            experiment_->sanitized_event_count);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <optional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -17,6 +19,7 @@
 #include "causaliot/serve/alarm_json.hpp"
 #include "causaliot/serve/blame.hpp"
 #include "causaliot/serve/service.hpp"
+#include "causaliot/util/batch_scope.hpp"
 #include "causaliot/util/strings.hpp"
 
 namespace causaliot::serve {
@@ -157,6 +160,106 @@ TEST_F(ServeTest, MultiTenantReplayMatchesBatchMonitor) {
   EXPECT_EQ(stats.alarms_total, batch.size() * kTenants);
 }
 
+/// Five tenants over the runtime stream with a model swap to version 2
+/// halfway through, submitted event by event (chunk 0) or staged in
+/// util::BatchScopes of `chunk` submissions. Returns the alarm streams.
+std::map<std::string, std::vector<ServedAlarm>> run_swap_stream(
+    const std::vector<preprocess::BinaryEvent>& events,
+    const std::function<std::shared_ptr<const ModelSnapshot>(std::uint64_t)>&
+        snapshot_of,
+    const std::vector<std::uint8_t>& initial, std::size_t chunk) {
+  ServiceConfig config;
+  config.shard_count = 2;
+  config.queue_capacity = 64;  // chunks overflow it: push_batch must wait
+  config.overflow = util::OverflowPolicy::kBlock;
+  config.session.k_max = 3;
+  AlarmLog log;
+  DetectionService service(config, log.callback());
+  std::vector<TenantHandle> handles;
+  for (std::size_t i = 0; i < 5; ++i) {
+    handles.push_back(service.add_tenant("home-" + std::to_string(i),
+                                         snapshot_of(1), initial));
+  }
+  service.start();
+  std::optional<util::BatchScope> scope;
+  std::size_t in_scope = 0;
+  for (std::size_t j = 0; j < events.size(); ++j) {
+    if (j == events.size() / 2) {
+      // Events staged before the swap are scored by version 1.
+      for (const TenantHandle handle : handles) {
+        service.swap_model(handle, snapshot_of(2));
+      }
+    }
+    for (const TenantHandle handle : handles) {
+      if (chunk != 0 && !scope.has_value()) scope.emplace();
+      const auto result = service.submit(handle, events[j]);
+      EXPECT_EQ(result, chunk != 0 ? DetectionService::SubmitResult::kStaged
+                                   : DetectionService::SubmitResult::kAccepted);
+      if (chunk != 0 && ++in_scope == chunk) {
+        scope.reset();
+        in_scope = 0;
+      }
+    }
+  }
+  scope.reset();
+  service.shutdown();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.events_submitted, events.size() * handles.size());
+  EXPECT_EQ(stats.events_processed, events.size() * handles.size());
+  EXPECT_EQ(stats.events_orphaned, 0u);
+  return std::move(log.by_tenant);
+}
+
+TEST_F(ServeTest, StagedSubmitsGiveTheSameAlarmStream) {
+  const auto& events = experiment_->test_runtime_events;
+  const auto initial = experiment_->test_series.snapshot_state(0);
+  const auto direct = run_swap_stream(events, snapshot, initial, 0);
+  const auto staged = run_swap_stream(events, snapshot, initial, 301);
+  ASSERT_EQ(direct.size(), 5u);
+  ASSERT_EQ(staged.size(), direct.size());
+  for (const auto& [tenant, want] : direct) {
+    ASSERT_TRUE(staged.count(tenant)) << tenant;
+    const std::vector<ServedAlarm>& got = staged.at(tenant);
+    std::vector<detect::AnomalyReport> reports;
+    for (const ServedAlarm& alarm : want) reports.push_back(alarm.report);
+    expect_matches_batch(got, reports);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].model_version, want[i].model_version) << tenant;
+      EXPECT_EQ(got[i].severity, want[i].severity) << tenant;
+    }
+  }
+  // Both versions scored alarms, so the swap point was exercised.
+  const auto& alarms = direct.begin()->second;
+  EXPECT_EQ(alarms.front().model_version, 1u);
+  EXPECT_EQ(alarms.back().model_version, 2u);
+}
+
+TEST_F(ServeTest, SwapModelPushesStagedEventsFirst) {
+  // Ten events staged, then a swap, in one scope on an unstarted
+  // service. The swap flushes the scope, so the queue reads events then
+  // the SwapModel control: every event is scored by version 1 and no
+  // event follows the publication to adopt it.
+  ServiceConfig config;
+  config.overflow = util::OverflowPolicy::kBlock;
+  DetectionService service(config, nullptr);
+  const TenantHandle home = service.add_tenant(
+      "home", snapshot(1), experiment_->test_series.snapshot_state(0));
+  {
+    util::BatchScope scope;
+    for (std::size_t j = 0; j < 10; ++j) {
+      EXPECT_EQ(service.submit(home, experiment_->test_runtime_events[j]),
+                DetectionService::SubmitResult::kStaged);
+    }
+    service.swap_model(home, snapshot(2));
+  }
+  service.start();
+  service.shutdown();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.events_processed, 10u);
+  EXPECT_EQ(stats.model_swaps_published, 1u);
+  EXPECT_EQ(stats.model_swaps_adopted, 0u);
+}
+
 TEST_F(ServeTest, HotSwapMidStreamLosesNoEvents) {
   constexpr std::size_t kTenants = 4;
   const std::vector<detect::AnomalyReport> batch = batch_alarms(2);
@@ -274,6 +377,7 @@ TEST_F(ServeTest, RejectPolicyCountsExactly) {
       case DetectionService::SubmitResult::kRejected: ++rejected; break;
       case DetectionService::SubmitResult::kClosed: FAIL(); break;
       case DetectionService::SubmitResult::kUnknownTenant: FAIL(); break;
+      case DetectionService::SubmitResult::kStaged: FAIL(); break;
     }
   }
   EXPECT_EQ(accepted, 4u);

@@ -12,12 +12,14 @@
 #include <unistd.h>
 
 #include <memory>
+#include <thread>
 #include <string>
 #include <vector>
 
 #include "causaliot/core/experiment.hpp"
 #include "causaliot/net/line_server.hpp"
 #include "causaliot/obs/http_server.hpp"
+#include "causaliot/util/batch_scope.hpp"
 #include "causaliot/util/strings.hpp"
 
 namespace causaliot::serve {
@@ -71,6 +73,20 @@ TEST(ScanIngestLine, RejectsMalformedLines) {
   EXPECT_FALSE(scan_ingest_line("{\"a\": {\"nested\": 1}}", fields));
 }
 
+TEST(ScanIngestLine, RejectsNonFiniteNumbers) {
+  // std::from_chars reads these; JSON has no such numbers and no sensor
+  // reading or timestamp may be one.
+  for (const char* number : {"nan", "NaN", "inf", "-inf", "infinity",
+                             "-Infinity", "1e999"}) {
+    for (const char* key : {"value", "timestamp", "other"}) {
+      IngestFields fields;
+      const std::string line =
+          std::string("{\"") + key + "\": " + number + "}";
+      EXPECT_FALSE(scan_ingest_line(line, fields)) << line;
+    }
+  }
+}
+
 // --- router + transports over a real service ---
 
 class IngestTest : public ::testing::Test {
@@ -88,20 +104,22 @@ class IngestTest : public ::testing::Test {
     experiment_ = nullptr;
   }
 
-  /// Service (2 shards, kReject) + router with "base" preregistered and
-  /// a default tenant. Returns after start().
+  /// Service (2 shards, kReject unless given) + router with "base"
+  /// preregistered and a default tenant. Returns after start().
   struct Plane {
     std::unique_ptr<DetectionService> service;
     std::unique_ptr<IngestRouter> router;
   };
-  static Plane make_plane(std::size_t queue_capacity = 4096) {
+  static Plane make_plane(
+      std::size_t queue_capacity = 4096,
+      util::OverflowPolicy overflow = util::OverflowPolicy::kReject) {
     const core::TrainedModel& model = experiment_->model;
     auto snapshot = make_snapshot(model.graph, model.score_threshold,
                                   model.laplace_alpha, /*version=*/1);
     ServiceConfig config;
     config.shard_count = 2;
     config.queue_capacity = queue_capacity;
-    config.overflow = util::OverflowPolicy::kReject;
+    config.overflow = overflow;
     Plane plane;
     plane.service = std::make_unique<DetectionService>(
         config, [](const ServedAlarm&) {});
@@ -157,9 +175,17 @@ TEST_F(IngestTest, RoutesEventsAndCountsEveryRejection) {
           .outcome,
       Outcome::kUnknownDevice);
 
-  EXPECT_EQ(router.lines_total(), 6u);  // blank not counted
+  for (const char* line :
+       {R"({"device": "x", "value": nan, "timestamp": 5})",
+        R"({"device": "x", "value": 1, "timestamp": inf})"}) {
+    const IngestRouter::LineResult result = router.handle_line(line);
+    EXPECT_EQ(result.outcome, Outcome::kParseError) << line;
+    EXPECT_EQ(*IngestRouter::response_line(result), "ERR parse") << line;
+  }
+
+  EXPECT_EQ(router.lines_total(), 8u);  // blank not counted
   EXPECT_EQ(router.accepted_total(), 2u);
-  EXPECT_EQ(router.rejected_total(), 4u);
+  EXPECT_EQ(router.rejected_total(), 6u);
 
   plane.service->shutdown();
   const ServiceStats stats = plane.service->stats();
@@ -167,7 +193,7 @@ TEST_F(IngestTest, RoutesEventsAndCountsEveryRejection) {
   EXPECT_EQ(stats.events_processed, 2u);
   // The rejection reasons surface as labeled counters on the registry.
   const std::string prom = plane.service->registry().to_prometheus();
-  EXPECT_NE(prom.find("serve_ingest_rejected_total{reason=\"parse\"} 2"),
+  EXPECT_NE(prom.find("serve_ingest_rejected_total{reason=\"parse\"} 4"),
             std::string::npos);
   EXPECT_NE(
       prom.find("serve_ingest_rejected_total{reason=\"unknown-tenant\"} 1"),
@@ -175,6 +201,80 @@ TEST_F(IngestTest, RoutesEventsAndCountsEveryRejection) {
   EXPECT_NE(
       prom.find("serve_ingest_rejected_total{reason=\"unknown-device\"} 1"),
       std::string::npos);
+}
+
+std::uint64_t rejected_for(DetectionService& service, const char* reason) {
+  return service.registry()
+      .counter("serve_ingest_rejected_total", {{"reason", reason}})
+      .value();
+}
+
+TEST_F(IngestTest, StagedLinesCountWhenTheScopePushesThem) {
+  Plane plane = make_plane(4096, util::OverflowPolicy::kBlock);
+  IngestRouter& router = *plane.router;
+  {
+    util::BatchScope chunk;
+    EXPECT_EQ(router.handle_line(event_line("base", 0, 1.0)).outcome,
+              Outcome::kStaged);
+    EXPECT_EQ(router.handle_line(event_line("", 1, 2.0)).outcome,
+              Outcome::kStaged);
+    EXPECT_FALSE(IngestRouter::response_line(
+                     router.handle_line(event_line("base", 2, 3.0)))
+                     .has_value());  // quiet, like an accepted event
+    // Staged lines do not look routed yet; refused ones count at once.
+    EXPECT_EQ(router.lines_total(), 0u);
+    EXPECT_EQ(router.accepted_total(), 0u);
+    EXPECT_EQ(router.handle_line("garbage").outcome, Outcome::kParseError);
+    EXPECT_EQ(router.lines_total(), 1u);
+    // A control verb pushes what was staged before it.
+    EXPECT_EQ(
+        router.handle_line(R"({"op": "add_tenant", "tenant": "dyn"})").outcome,
+        Outcome::kControlOk);
+    EXPECT_EQ(router.lines_total(), 5u);
+    EXPECT_EQ(router.accepted_total(), 3u);
+    EXPECT_EQ(router.handle_line(event_line("dyn", 0, 4.0)).outcome,
+              Outcome::kStaged);
+    EXPECT_EQ(router.lines_total(), 5u);
+  }
+  EXPECT_EQ(router.lines_total(), 6u);
+  EXPECT_EQ(router.accepted_total(), 4u);
+  EXPECT_EQ(router.rejected_total(), 1u);
+  plane.service->shutdown();
+  const ServiceStats stats = plane.service->stats();
+  EXPECT_EQ(stats.events_submitted, 4u);
+  EXPECT_EQ(stats.events_processed, 4u);
+}
+
+TEST_F(IngestTest, StagedLinesRefusedAtPushAreCountedByReason) {
+  // Between staging and the push another thread removes one tenant and
+  // then shuts the service down: the removed tenant's line is refused
+  // as unknown-tenant, the other as closed, and nothing is orphaned.
+  Plane plane = make_plane(4096, util::OverflowPolicy::kBlock);
+  IngestRouter& router = *plane.router;
+  ASSERT_TRUE(router.add_tenant("gone"));
+  {
+    util::BatchScope chunk;
+    EXPECT_EQ(router.handle_line(event_line("gone", 0, 1.0)).outcome,
+              Outcome::kStaged);
+    EXPECT_EQ(router.handle_line(event_line("base", 1, 2.0)).outcome,
+              Outcome::kStaged);
+    std::thread other([&] {
+      EXPECT_TRUE(router.remove_tenant("gone"));
+      plane.service->shutdown();
+    });
+    other.join();
+  }
+  EXPECT_EQ(router.lines_total(), 2u);
+  EXPECT_EQ(router.accepted_total(), 0u);
+  EXPECT_EQ(router.rejected_total(), 2u);
+  EXPECT_EQ(rejected_for(*plane.service, "unknown-tenant"), 1u);
+  EXPECT_EQ(rejected_for(*plane.service, "closed"), 1u);
+  const ServiceStats stats = plane.service->stats();
+  EXPECT_EQ(stats.events_processed, 0u);
+  EXPECT_EQ(stats.events_orphaned, 0u);
+  EXPECT_EQ(stats.events_unroutable, 1u);
+  EXPECT_EQ(stats.events_submitted, 1u);
+  EXPECT_EQ(stats.queue_closed_rejects, 1u);
 }
 
 TEST_F(IngestTest, ControlVerbsDriveTenantChurn) {
@@ -407,6 +507,60 @@ TEST_F(IngestTest, TcpLineProtocolEndToEnd) {
   // that was processed/orphaned or a control message.
   EXPECT_EQ(stats.queue_accepted,
             stats.events_processed + stats.events_orphaned + 2u /*controls*/);
+}
+
+TEST_F(IngestTest, TcpEventsBeforeRemoveInOneWriteAreProcessed) {
+  // kBlock stages each read chunk's events and pushes them per shard at
+  // the end of the chunk. A remove_tenant in the same chunk pushes the
+  // events staged before it first, so they are processed, not orphaned
+  // or refused.
+  constexpr std::size_t kEvents = 50;
+  Plane plane = make_plane(4096, util::OverflowPolicy::kBlock);
+  net::LineProtocolServer tcp(
+      net::LineServerConfig{}, [&](std::string_view line) {
+        return IngestRouter::response_line(plane.router->handle_line(line));
+      });
+  const auto port = tcp.start();
+  ASSERT_TRUE(port.ok());
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port.value());
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  std::string payload = "{\"op\": \"add_tenant\", \"tenant\": \"tcp\"}\n";
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    payload += event_line(i % 2 == 0 ? "tcp" : "base", i % 5,
+                          1.0 + static_cast<double>(i)) +
+               "\n";
+  }
+  payload += "{\"op\": \"remove_tenant\", \"tenant\": \"tcp\"}\n";
+  payload += event_line("tcp", 1, 100.0) + "\n";
+  ASSERT_EQ(::send(fd, payload.data(), payload.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(payload.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::string response;
+  char buffer[4096];
+  while (true) {
+    const ssize_t got = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (got <= 0) break;
+    response.append(buffer, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  EXPECT_EQ(response,
+            "OK add_tenant\nOK remove_tenant\nERR unknown-tenant\n");
+
+  tcp.stop();
+  plane.service->shutdown();
+  const ServiceStats stats = plane.service->stats();
+  EXPECT_EQ(stats.events_processed, kEvents);
+  EXPECT_EQ(stats.events_orphaned, 0u);
+  EXPECT_EQ(plane.router->accepted_total(), kEvents);
+  EXPECT_EQ(plane.router->rejected_total(), 1u);
+  EXPECT_EQ(plane.router->lines_total(), kEvents + 3u);  // + 2 controls
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -117,6 +118,43 @@ TEST_F(ServeWatchdogTest, FrozenHeartbeatWithQueuedWorkIsAStall) {
   EXPECT_EQ(registry.gauge("serve_watchdog_shard_heartbeat", {{"shard", "0"}})
                 .value(),
             8);
+}
+
+TEST_F(ServeWatchdogTest, WorkerWedgedMidBatchIsAStall) {
+  // A running worker takes its whole batch off the queue before it
+  // processes it. Wedged on the first of two events, its queue is empty,
+  // but the backlog still counts both items in hand, so the watchdog
+  // calls the shard stalled, not idle.
+  ServiceConfig config;
+  config.shard_count = 1;
+  config.queue_capacity = 64;
+  config.debug_event_delay_us = 1'000'000;
+  DetectionService service(config, [](const ServedAlarm&) {});
+  const TenantHandle home = service.add_tenant(
+      "home-0", snapshot(1), experiment_->test_series.snapshot_state(0));
+  for (std::size_t i = 0; i < 2; ++i) {  // queued before start: one batch
+    ASSERT_EQ(service.submit(home, experiment_->test_runtime_events[i]),
+              DetectionService::SubmitResult::kAccepted);
+  }
+  service.start();
+  while (service.shard_progress(0).heartbeat == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const DetectionService::ShardProgress progress = service.shard_progress(0);
+  EXPECT_EQ(progress.heartbeat, 1u);
+  EXPECT_EQ(progress.queue_depth, 2u);
+  Watchdog watchdog(service);
+  watchdog.refresh(1 * kSecond);
+  watchdog.refresh(7 * kSecond);
+  EXPECT_EQ(watchdog.stalled_shards(), 1u);
+  // The serve_queue_depth gauge reads the same backlog.
+  (void)service.stats();
+  EXPECT_EQ(service.registry().gauge("serve_queue_depth", {{"shard", "0"}})
+                .value(),
+            2);
+  service.shutdown();
+  EXPECT_EQ(service.shard_progress(0).queue_depth, 0u);
+  EXPECT_EQ(service.stats().events_processed, 2u);
 }
 
 TEST_F(ServeWatchdogTest, IdleShardIsNeverStalled) {
